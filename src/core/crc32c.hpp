@@ -9,11 +9,11 @@
 /// the block sizes disks serve, and because commodity CPUs accelerate it
 /// (SSE4.2 crc32 on x86, CRC extensions on ARM).
 ///
-/// Implementation: slicing-by-8 table lookup (8 bytes per iteration,
-/// tables generated at first use), with a hardware fast path compiled in
-/// when the build targets SSE4.2.  Both paths produce identical values;
-/// the checksums are a persisted format, so the function is pinned by
-/// known-answer tests (the RFC 3720 test vectors).
+/// Implementation: chosen once at run time.  On x86-64 CPUs with SSE4.2,
+/// three interleaved crc32 instruction streams over 1 KiB blocks, merged
+/// with a shift-by-1-KiB table; elsewhere, slicing-by-8 table lookup.
+/// Both give identical values -- the checksums are a persisted format,
+/// pinned by known-answer tests (RFC 3720 vectors) in test_crc32c.
 
 #include <cstdint>
 #include <span>
@@ -35,5 +35,14 @@ namespace pdl::core {
   const std::uint32_t crc = crc32c(data);
   return crc == 0 ? 1u : crc;
 }
+
+namespace detail {
+
+/// The slicing-by-8 path crc32c falls back to, callable on any CPU so
+/// tests can compare it with the dispatched path.
+[[nodiscard]] std::uint32_t crc32c_portable(
+    std::span<const std::uint8_t> data, std::uint32_t seed = 0) noexcept;
+
+}  // namespace detail
 
 }  // namespace pdl::core
