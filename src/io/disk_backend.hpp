@@ -328,7 +328,8 @@ struct FileBackendOptions {
   /// atomic write batches: journal_begin/journal_commit become
   /// available, and open() replays or discards un-retired records left
   /// by a crash (see DiskBackend's journal seam).  On by default --
-  /// the cost is one extra sequential pwrite per journaled batch.
+  /// the cost is two extra pwrites per journaled batch: the record
+  /// append before the in-place writes and the retire after them.
   bool journal = true;
 };
 
@@ -405,6 +406,9 @@ class FileBackend final : public DiskBackend {
                                    std::span<std::uint8_t> out);
   [[nodiscard]] Status write_direct(DiskId disk, std::uint64_t offset,
                                     std::span<const std::uint8_t> data);
+  /// write() minus the range check and the sync_on_write fdatasync.
+  [[nodiscard]] Status write_unsynced(DiskId disk, std::uint64_t offset,
+                                      std::span<const std::uint8_t> data);
 
   [[nodiscard]] Status open_journal();
   [[nodiscard]] Status replay_journal();

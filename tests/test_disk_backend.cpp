@@ -1,7 +1,9 @@
 // pdl::io::DiskBackend contract tests: range/geometry checks and
 // discard/view semantics on MemoryBackend; persistence (write -> close ->
 // reopen -> byte-identical), geometry-mismatch refusal, and degraded-
-// read/rebuild round-trips across reopen on FileBackend; determinism,
+// read/rebuild round-trips across reopen on FileBackend; the FileBackend
+// write-ahead journal (commit, replay, torn-record discard, slot reuse
+// under concurrency) and multi-piece discard; determinism,
 // typed-kIoError surfacing through StripeStore, and bit-rot accounting on
 // FaultInjectionBackend.
 
@@ -13,9 +15,11 @@
 
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/array.hpp"
@@ -148,6 +152,197 @@ TEST(FileBackend, DiscardFillsWholeImage) {
   std::vector<std::uint8_t> out(3000);
   ASSERT_TRUE(backend.read(0, 0, out).ok());
   for (const auto b : out) ASSERT_EQ(b, 0xDD);
+  std::filesystem::remove_all(dir);
+}
+
+/// An image of three pages plus a partial one: buffered, the fill goes out
+/// in page-sized pieces and ends with a short tail; with direct I/O
+/// requested, the misaligned tail downgrades the backend midway.  Either
+/// way every byte, the tail included, holds the fill.
+TEST(FileBackend, DiscardFillsMultiPageImageWithTail) {
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t disk_bytes = 3 * page + 100;
+  for (const bool direct : {false, true}) {
+    SCOPED_TRACE(direct ? "direct_io requested" : "buffered");
+    const auto dir = fresh_dir(direct ? "discard_tail_direct" : "discard_tail");
+    FileBackend backend({.directory = dir.string(), .direct_io = direct});
+    ASSERT_TRUE(backend.open({.num_disks = 2, .disk_bytes = disk_bytes}).ok());
+    // Aligned writes, so requested direct I/O stays engaged (where the
+    // filesystem allows it) until the discard itself.
+    const auto data = pattern(static_cast<std::size_t>(3 * page), 5);
+    ASSERT_TRUE(backend.write(0, 0, data).ok());
+    ASSERT_TRUE(backend.write(1, 0, data).ok());
+    ASSERT_TRUE(backend.discard(0, 0xC3).ok());
+    EXPECT_FALSE(backend.direct_io_active());  // tail is not 4096-aligned
+    std::vector<std::uint8_t> out(static_cast<std::size_t>(disk_bytes));
+    ASSERT_TRUE(backend.read(0, 0, out).ok());
+    for (std::size_t i = 0; i < out.size(); ++i) ASSERT_EQ(out[i], 0xC3) << i;
+    // The other disk is untouched: its data, then the zero tail.
+    auto want = data;
+    want.resize(out.size(), 0);
+    ASSERT_TRUE(backend.read(1, 0, out).ok());
+    EXPECT_EQ(out, want);
+    EXPECT_EQ(std::filesystem::file_size(dir / "disk-0000.img"), disk_bytes);
+    std::filesystem::remove_all(dir);
+  }
+}
+
+// ----------------------------------------------------------- file journal
+
+constexpr BackendGeometry kJournalGeometry{.num_disks = 3, .disk_bytes = 8192};
+
+/// A two-write batch (data unit on disk 0, its parity on disk 2), the
+/// shape of an XOR RMW.
+std::vector<IoRequest> journal_batch(std::span<const std::uint8_t> data,
+                                     std::span<const std::uint8_t> parity) {
+  return {IoRequest::write_of(IoClass::kForegroundWrite, 0, 1024, data),
+          IoRequest::write_of(IoClass::kForegroundWrite, 2, 4096, parity)};
+}
+
+void expect_range(FileBackend& backend, DiskId disk, std::uint64_t offset,
+                  const std::vector<std::uint8_t>& want) {
+  std::vector<std::uint8_t> out(want.size());
+  ASSERT_TRUE(backend.read(disk, offset, out).ok());
+  EXPECT_EQ(out, want) << "disk " << disk << " offset " << offset;
+}
+
+TEST(FileBackendJournal, CommittedRecordIsNotReplayed) {
+  const auto dir = fresh_dir("journal_commit");
+  const auto data = pattern(512, 11);
+  const auto parity = pattern(512, 97);
+  {
+    FileBackend backend({.directory = dir.string()});
+    ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+    ASSERT_TRUE(backend.journaled());
+    const auto batch = journal_batch(data, parity);
+    const auto token = backend.journal_begin(batch);
+    ASSERT_TRUE(token.ok()) << token.status().to_string();
+    for (const IoRequest& r : batch)
+      ASSERT_TRUE(backend.write(r.disk, r.offset, r.write_buf).ok());
+    ASSERT_TRUE(backend.journal_commit(*token).ok());
+    const FileJournalStats stats = backend.journal_stats();
+    EXPECT_EQ(stats.records, 1u);
+    EXPECT_EQ(stats.commits, 1u);
+    // A retired token cannot be committed twice.
+    EXPECT_EQ(backend.journal_commit(*token).code(),
+              StatusCode::kFailedPrecondition);
+  }
+  FileBackend backend({.directory = dir.string()});
+  ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+  EXPECT_EQ(backend.journal_stats().replayed, 0u);
+  EXPECT_EQ(backend.journal_stats().discarded, 0u);
+  expect_range(backend, 0, 1024, data);
+  expect_range(backend, 2, 4096, parity);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendJournal, UncommittedRecordIsReplayedAtReopen) {
+  const auto dir = fresh_dir("journal_replay");
+  const auto data = pattern(512, 23);
+  const auto parity = pattern(512, 61);
+  {
+    // The process "crashes" between journal_begin and the in-place
+    // writes: none of them landed, and the record is never retired.
+    FileBackend backend({.directory = dir.string()});
+    ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+    ASSERT_TRUE(backend.journal_begin(journal_batch(data, parity)).ok());
+  }
+  {
+    FileBackend backend({.directory = dir.string()});
+    ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+    EXPECT_EQ(backend.journal_stats().replayed, 1u);
+    EXPECT_EQ(backend.journal_stats().discarded, 0u);
+    expect_range(backend, 0, 1024, data);
+    expect_range(backend, 2, 4096, parity);
+    expect_range(backend, 1, 0, std::vector<std::uint8_t>(8192, 0));
+  }
+  // Replay retired the record: a second reopen finds nothing to do.
+  FileBackend backend({.directory = dir.string()});
+  ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+  EXPECT_EQ(backend.journal_stats().replayed, 0u);
+  expect_range(backend, 0, 1024, data);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FileBackendJournal, CorruptRecordIsDiscardedAtReopen) {
+  const auto dir = fresh_dir("journal_corrupt");
+  const auto data = pattern(512, 41);
+  const auto parity = pattern(512, 3);
+  {
+    FileBackend backend({.directory = dir.string()});
+    ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+    ASSERT_TRUE(backend.journal_begin(journal_batch(data, parity)).ok());
+  }
+  {
+    // Flip one payload byte of the first slot's record: 32-byte header,
+    // two 16-byte entries, then the payloads.
+    std::fstream journal(dir / "journal.bin",
+                         std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(journal.is_open());
+    constexpr std::streamoff kPayloadByte = 32 + 2 * 16 + 100;
+    journal.seekg(kPayloadByte);
+    const int byte = journal.get();
+    ASSERT_NE(byte, std::char_traits<char>::eof());
+    journal.seekp(kPayloadByte);
+    journal.put(static_cast<char>(byte ^ 0x01));
+    ASSERT_TRUE(journal.good());
+  }
+  FileBackend backend({.directory = dir.string()});
+  ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+  EXPECT_EQ(backend.journal_stats().replayed, 0u);
+  EXPECT_EQ(backend.journal_stats().discarded, 1u);
+  const std::vector<std::uint8_t> zeros(8192, 0);
+  for (DiskId disk = 0; disk < kJournalGeometry.num_disks; ++disk)
+    expect_range(backend, disk, 0, zeros);
+  std::filesystem::remove_all(dir);
+}
+
+/// 4 threads x 20 begin/commit pairs is 80 records through 32 slots, so
+/// slots are retired and reused while other threads hold theirs.
+TEST(FileBackendJournal, ConcurrentRecordsReuseSlots) {
+  constexpr int kThreads = 4;
+  constexpr int kRecordsPerThread = 20;
+  const auto dir = fresh_dir("journal_concurrent");
+  {
+    FileBackend backend({.directory = dir.string()});
+    ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+    std::vector<int> completed(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&backend, &completed, t] {
+        // Each thread owns a 1 KiB range on disk 0 and on disk 2.
+        const std::uint64_t offset = static_cast<std::uint64_t>(t) * 1024;
+        for (int i = 0; i < kRecordsPerThread; ++i) {
+          const auto data = pattern(1024, static_cast<std::uint8_t>(t + i));
+          const std::vector<IoRequest> batch = {
+              IoRequest::write_of(IoClass::kForegroundWrite, 0, offset, data),
+              IoRequest::write_of(IoClass::kForegroundWrite, 2, offset, data)};
+          const auto token = backend.journal_begin(batch);
+          if (!token.ok()) return;
+          for (const IoRequest& r : batch)
+            if (!backend.write(r.disk, r.offset, r.write_buf).ok()) return;
+          if (!backend.journal_commit(*token).ok()) return;
+          ++completed[static_cast<std::size_t>(t)];
+        }
+      });
+    for (auto& thread : threads) thread.join();
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(completed[static_cast<std::size_t>(t)], kRecordsPerThread)
+          << "thread " << t;
+    const FileJournalStats stats = backend.journal_stats();
+    EXPECT_EQ(stats.records, std::uint64_t{kThreads * kRecordsPerThread});
+    EXPECT_EQ(stats.commits, std::uint64_t{kThreads * kRecordsPerThread});
+  }
+  FileBackend backend({.directory = dir.string()});
+  ASSERT_TRUE(backend.open(kJournalGeometry).ok());
+  EXPECT_EQ(backend.journal_stats().replayed, 0u);
+  EXPECT_EQ(backend.journal_stats().discarded, 0u);
+  for (int t = 0; t < kThreads; ++t) {
+    const auto last =
+        pattern(1024, static_cast<std::uint8_t>(t + kRecordsPerThread - 1));
+    expect_range(backend, 0, static_cast<std::uint64_t>(t) * 1024, last);
+    expect_range(backend, 2, static_cast<std::uint64_t>(t) * 1024, last);
+  }
   std::filesystem::remove_all(dir);
 }
 
