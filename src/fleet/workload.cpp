@@ -1,17 +1,38 @@
 #include "fleet/workload.hpp"
 
-#include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <limits>
-#include <random>
-#include <thread>
+#include <memory>
 #include <vector>
 
 namespace pdl::fleet {
 
-using io::ReadReceipt;
-using io::WriteReceipt;
+namespace {
+
+/// The fleet as a driver target: units are fleet blocks.
+class FleetTarget final : public io::WorkloadTarget {
+ public:
+  explicit FleetTarget(Fleet& fleet) : fleet_(fleet) {}
+  std::uint64_t num_units() const override { return fleet_.num_blocks(); }
+  std::uint32_t unit_bytes() const override { return fleet_.block_bytes(); }
+  bool async() const override { return fleet_.any_async(); }
+  Status read(std::uint64_t unit, std::span<std::uint8_t> out,
+              io::ReadReceipt* receipt) override {
+    return fleet_.read(unit, out, receipt);
+  }
+  Status write(std::uint64_t unit, std::span<const std::uint8_t> data,
+               io::WriteReceipt* receipt) override {
+    return fleet_.write(unit, data, receipt);
+  }
+  Status read_batch(std::span<const std::uint64_t> units,
+                    std::span<std::uint8_t> out, std::span<Status> statuses,
+                    std::span<io::ReadReceipt> receipts) override {
+    return fleet_.read_batch(units, out, statuses, receipts);
+  }
+
+ private:
+  Fleet& fleet_;
+};
+
+}  // namespace
 
 Status fill_canonical(Fleet& fleet, std::uint64_t first, std::uint64_t last,
                       std::uint64_t seed) {
@@ -25,202 +46,6 @@ Status fill_canonical(Fleet& fleet, std::uint64_t first, std::uint64_t last,
 }
 
 WorkloadDriver::WorkloadDriver(Fleet& fleet, io::WorkloadOptions options)
-    : fleet_(fleet), options_(options) {
-  if (options_.num_threads == 0) options_.num_threads = 1;
-  if (options_.queue_depth == 0) options_.queue_depth = 1;
-  options_.read_fraction = std::clamp(options_.read_fraction, 0.0, 1.0);
-
-  if (options_.pattern == io::AccessPattern::kZipfian) {
-    // YCSB ZipfianGenerator parameters; theta = 1 is a pole, so clamp.
-    const double theta = std::clamp(options_.zipf_theta, 0.01, 0.99);
-    const auto n = static_cast<double>(fleet_.num_blocks());
-    // The cached io helper, not an inline O(n) pass: re-constructing a
-    // driver per phase over the same fleet was paying the full harmonic
-    // sum every time, and an independent summation here could drift
-    // from the io driver's value for identical (n, theta).
-    const double zetan = io::zipf_zetan(fleet_.num_blocks(), theta);
-    zipf_zetan_ = zetan;
-    zipf_zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta);
-    zipf_alpha_ = 1.0 / (1.0 - theta);
-    zipf_eta_ = (1.0 - std::pow(2.0 / n, 1.0 - theta)) /
-                (1.0 - zipf_zeta2_ / zetan);
-    options_.zipf_theta = theta;
-  }
-}
-
-std::uint64_t WorkloadDriver::zipf_sample(double u) const noexcept {
-  const std::uint64_t n = fleet_.num_blocks();
-  const double uz = u * zipf_zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, options_.zipf_theta)) return 1;
-  const auto rank = static_cast<std::uint64_t>(
-      static_cast<double>(n) *
-      std::pow(zipf_eta_ * u - zipf_eta_ + 1.0, zipf_alpha_));
-  return std::min(rank, n - 1);
-}
-
-void WorkloadDriver::worker(std::uint32_t thread_index,
-                            io::WorkloadStats& stats) const {
-  const std::uint64_t n = fleet_.num_blocks();
-  const std::uint32_t block_bytes = fleet_.block_bytes();
-  // When any shard's backend is async, the batch's reads go out as one
-  // Fleet::read_batch (each shard sees its sub-batch as one deep
-  // submission); all-synchronous fleets gain nothing from batching, so
-  // reads are issued one by one.
-  const bool batch_reads = fleet_.any_async();
-  std::mt19937_64 rng(options_.seed * 0x9E3779B97F4A7C15ull + thread_index);
-  std::uniform_real_distribution<double> unit_dist(0.0, 1.0);
-
-  std::vector<std::uint8_t> buffer(block_bytes);
-  std::vector<std::uint8_t> expected(block_bytes);
-  std::vector<std::uint64_t> batch(options_.queue_depth);
-  std::vector<bool> is_read(options_.queue_depth);
-  std::vector<std::uint64_t> read_addrs(options_.queue_depth);
-  std::vector<std::uint8_t> read_bytes(
-      static_cast<std::size_t>(options_.queue_depth) * block_bytes);
-  std::vector<Status> read_statuses(options_.queue_depth);
-  std::vector<ReadReceipt> read_receipts(options_.queue_depth);
-  std::uint64_t cursor = (n / options_.num_threads) * thread_index;
-
-  using clock = std::chrono::steady_clock;
-  const auto elapsed_us = [](clock::time_point since) {
-    return static_cast<std::uint32_t>(std::min<std::int64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
-                                                              since)
-            .count(),
-        std::numeric_limits<std::int64_t>::max()));
-  };
-  const auto tally_read = [&](std::uint64_t block, const Status& status,
-                              const ReadReceipt& receipt,
-                              std::span<const std::uint8_t> bytes,
-                              std::uint32_t latency_us) {
-    if (status.ok()) {
-      ++stats.reads;
-      stats.bytes_moved += block_bytes;
-      stats.read_latency_us.push_back(latency_us);
-      if (receipt.kind == api::ReadPlan::Kind::kDegraded)
-        ++stats.degraded_reads;
-      else
-        ++stats.direct_reads;
-      if (options_.verify_reads) {
-        io::canonical_fill(block, options_.seed, expected);
-        if (!std::equal(bytes.begin(), bytes.end(), expected.begin()))
-          ++stats.verify_failures;
-      }
-    } else if (status.code() == StatusCode::kDataLoss) {
-      ++stats.data_loss_ops;
-    } else {
-      ++stats.errors;
-    }
-  };
-
-  std::uint64_t remaining = options_.ops_per_thread;
-  while (remaining > 0) {
-    const std::uint64_t batch_size =
-        std::min<std::uint64_t>(options_.queue_depth, remaining);
-    for (std::uint64_t i = 0; i < batch_size; ++i) {
-      switch (options_.pattern) {
-        case io::AccessPattern::kUniform:
-          batch[i] = rng() % n;
-          break;
-        case io::AccessPattern::kSequential:
-          batch[i] = cursor;
-          cursor = (cursor + 1) % n;
-          break;
-        case io::AccessPattern::kZipfian:
-          batch[i] = zipf_sample(unit_dist(rng));
-          break;
-      }
-      is_read[i] = unit_dist(rng) < options_.read_fraction;
-    }
-
-    // Writes first, one by one (each is already a batched parity
-    // transaction inside its shard store)...
-    for (std::uint64_t i = 0; i < batch_size; ++i) {
-      if (is_read[i]) continue;
-      const std::uint64_t block = batch[i];
-      io::canonical_fill(block, options_.seed, buffer);
-      WriteReceipt receipt;
-      const auto write_started = clock::now();
-      const Status status = fleet_.write(block, buffer, &receipt);
-      if (status.ok()) {
-        ++stats.writes;
-        stats.bytes_moved += block_bytes;
-        stats.write_latency_us.push_back(elapsed_us(write_started));
-        switch (receipt.kind) {
-          case api::WritePlan::Kind::kReadModifyWrite:
-            ++stats.rmw_writes;
-            break;
-          case api::WritePlan::Kind::kReconstructWrite:
-            ++stats.reconstruct_writes;
-            break;
-          case api::WritePlan::Kind::kUnprotectedWrite:
-            ++stats.unprotected_writes;
-            break;
-          case api::WritePlan::Kind::kUnrecoverable:
-            break;
-        }
-      } else if (status.code() == StatusCode::kDataLoss) {
-        ++stats.data_loss_ops;
-      } else {
-        ++stats.errors;
-      }
-    }
-
-    // ...then the batch's reads, as one deep fan-out when any shard
-    // serves asynchronously.
-    std::uint32_t num_reads = 0;
-    for (std::uint64_t i = 0; i < batch_size; ++i)
-      if (is_read[i]) read_addrs[num_reads++] = batch[i];
-    if (batch_reads && num_reads > 0) {
-      const auto started = clock::now();
-      (void)fleet_.read_batch(
-          {read_addrs.data(), num_reads},
-          {read_bytes.data(),
-           static_cast<std::size_t>(num_reads) * block_bytes},
-          {read_statuses.data(), num_reads},
-          {read_receipts.data(), num_reads});
-      // Batched reads complete together: the submission's wall time is
-      // each op's caller-visible latency.
-      const std::uint32_t latency = elapsed_us(started);
-      ++stats.read_batches;
-      stats.batched_reads += num_reads;
-      for (std::uint32_t i = 0; i < num_reads; ++i)
-        tally_read(read_addrs[i], read_statuses[i], read_receipts[i],
-                   {read_bytes.data() +
-                        static_cast<std::size_t>(i) * block_bytes,
-                    block_bytes},
-                   latency);
-    } else {
-      for (std::uint32_t i = 0; i < num_reads; ++i) {
-        ReadReceipt receipt;
-        const auto started = clock::now();
-        const Status status = fleet_.read(read_addrs[i], buffer, &receipt);
-        tally_read(read_addrs[i], status, receipt, buffer,
-                   elapsed_us(started));
-      }
-    }
-    remaining -= batch_size;
-  }
-}
-
-io::WorkloadStats WorkloadDriver::run() {
-  std::vector<io::WorkloadStats> per_thread(options_.num_threads);
-  std::vector<std::thread> threads;
-  threads.reserve(options_.num_threads);
-
-  const auto start = std::chrono::steady_clock::now();
-  for (std::uint32_t t = 0; t < options_.num_threads; ++t)
-    threads.emplace_back(
-        [this, t, &per_thread] { worker(t, per_thread[t]); });
-  for (std::thread& thread : threads) thread.join();
-  const auto end = std::chrono::steady_clock::now();
-
-  io::WorkloadStats merged;
-  for (const io::WorkloadStats& stats : per_thread) merged.merge(stats);
-  merged.elapsed_seconds =
-      std::chrono::duration<double>(end - start).count();
-  return merged;
-}
+    : io::WorkloadDriver(std::make_unique<FleetTarget>(fleet), options) {}
 
 }  // namespace pdl::fleet

@@ -1,18 +1,17 @@
 #pragma once
-// Fleet-level workload driver: the same traffic engine as
-// io::WorkloadDriver (thread pool, read/write mix, uniform / sequential
-// / YCSB-zipfian addresses, canonical-content verification, latency
-// sampling), pointed at a fleet::Fleet instead of one StripeStore --
-// so one run's addresses span every shard through the fleet router,
-// zipfian hot spots land wherever the shard map puts them, and the
-// stats feed the fleet benches (foreground MB/s and p99 under a
-// rebuilding shard, governed vs not).
+// Fleet-level workload driver: io::WorkloadDriver's traffic engine
+// (thread pool, read/write mix, uniform / sequential / YCSB-zipfian
+// addresses, canonical-content verification, latency sampling) pointed
+// at a fleet::Fleet instead of one StripeStore -- so one run's addresses
+// span every shard through the fleet router, zipfian hot spots land
+// wherever the shard map puts them, and the stats feed the fleet benches
+// (foreground MB/s and p99 under a rebuilding shard, governed vs not).
 //
-// The option/stat/content vocabulary is shared with the store-level
-// driver on purpose (io::WorkloadOptions, io::WorkloadStats,
-// io::canonical_fill): a fleet phase and a store phase of the same
-// bench report through identical fields, and canonical bytes written
-// through the fleet verify through either front door.
+// The option/stat/content vocabulary is the store-level driver's
+// (io::WorkloadOptions, io::WorkloadStats, io::canonical_fill): a fleet
+// phase and a store phase of the same bench report through identical
+// fields, and canonical bytes written through the fleet verify through
+// either front door.
 
 #include <cstdint>
 
@@ -27,31 +26,15 @@ namespace pdl::fleet {
 [[nodiscard]] Status fill_canonical(Fleet& fleet, std::uint64_t first,
                                     std::uint64_t last, std::uint64_t seed);
 
-/// io::WorkloadDriver's fleet twin.  Addresses are fleet blocks;
-/// everything else (mix, patterns, verification, latency quantiles)
-/// behaves exactly like the store-level driver.
-class WorkloadDriver {
+/// io::WorkloadDriver over a fleet: addresses are fleet blocks, and a
+/// batch's reads go out as one Fleet::read_batch when any shard serves
+/// asynchronously.  Everything else (mix, patterns, verification,
+/// latency quantiles) is the store-level driver's.
+class WorkloadDriver : public io::WorkloadDriver {
  public:
   /// The fleet must outlive the driver; run() may be called repeatedly
   /// (e.g. once per phase of a failure scenario).
   WorkloadDriver(Fleet& fleet, io::WorkloadOptions options);
-
-  /// Spawns num_threads workers, runs ops_per_thread ops on each,
-  /// joins, and returns the merged stats (elapsed_seconds is wall time
-  /// of the whole run, counted once).
-  [[nodiscard]] io::WorkloadStats run();
-
- private:
-  Fleet& fleet_;
-  io::WorkloadOptions options_;
-  // Precomputed zipfian parameters (YCSB ZipfianGenerator shape).
-  double zipf_zetan_ = 0;
-  double zipf_zeta2_ = 0;
-  double zipf_alpha_ = 0;
-  double zipf_eta_ = 0;
-
-  void worker(std::uint32_t thread_index, io::WorkloadStats& stats) const;
-  [[nodiscard]] std::uint64_t zipf_sample(double u) const noexcept;
 };
 
 }  // namespace pdl::fleet

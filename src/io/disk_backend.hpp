@@ -9,10 +9,10 @@
 /// coordinates and never sees vectors, file descriptors, or sockets.
 /// Three implementations ship in-tree:
 ///
-///   * MemoryBackend         -- one heap buffer per disk (the PR-4
-///                              behaviour); exposes zero-copy views, so
-///                              the store's hot path stays allocation-
-///                              and syscall-free;
+///   * MemoryBackend         -- one heap buffer per disk; exposes
+///                              memory views, so the store's reads alias
+///                              the buffers (no copy, no call) while its
+///                              writes still go through write();
 ///   * FileBackend           -- one file per disk driven with
 ///                              pread/pwrite, surviving close + reopen
 ///                              (contents persist, parity-consistent);
@@ -174,11 +174,13 @@ class DiskBackend {
   /// logs and bench JSON.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
-  /// Optional zero-copy window: a non-empty span is the disk's complete
-  /// byte image, resident and addressable for the backend's lifetime
-  /// (memory and future mmap backends).  Empty means "use read/write".
-  /// A backend must answer uniformly -- all disks or none -- and a
-  /// decorator that intercepts I/O must return empty.
+  /// Optional read window: a non-empty span is the disk's complete byte
+  /// image, resident and addressable for the backend's lifetime (memory
+  /// and future mmap backends).  StripeStore's reads then alias it
+  /// instead of calling read(); its writes always go through write().
+  /// Empty means "read through read()".  A backend must answer
+  /// uniformly -- all disks or none -- and a decorator that intercepts
+  /// reads must return empty.
   [[nodiscard]] virtual std::span<std::uint8_t> memory_view(
       DiskId disk) noexcept {
     (void)disk;
@@ -265,8 +267,9 @@ class DiskBackend {
 // ---------------------------------------------------------------- memory
 
 /// Heap-resident substrate: one zero-initialized buffer per disk.
-/// Exposes memory_view, so StripeStore serves straight out of the
-/// buffers with no copies or syscalls.  Not persistent.
+/// Exposes memory_view, so StripeStore's reads alias the buffers with no
+/// copy or backend call; every write (data, parity, checksum, rebuild
+/// target) still goes through write().  Not persistent.
 class MemoryBackend final : public DiskBackend {
  public:
   MemoryBackend() = default;

@@ -28,9 +28,10 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   return hash;
 }
 
-/// Per-thread staging buffers for the backend (no-view) paths, so the
-/// serving hot loop stays allocation-free after warm-up.  Index selects
-/// one of two independent buffers (some paths need a pair).
+/// Per-thread staging buffers (a delta, a re-encoded parity, one copied
+/// pre-image), so the serving hot loop stays allocation-free after
+/// warm-up.  Index selects one of two independent buffers (some paths
+/// need a pair).
 [[nodiscard]] std::span<std::uint8_t> scratch(std::size_t which,
                                               std::size_t size) {
   thread_local std::vector<std::uint8_t> buffers[2];
@@ -39,13 +40,22 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
   return {buffer.data(), size};
 }
 
-/// Per-thread arena for the batched fan-in paths: one contiguous block
-/// the caller carves into unit-sized slices (survivor sets, rebuild
-/// waves).  Grow-only, independent of scratch(), so a path may use both.
+/// Per-thread arena for gather() slabs: one contiguous block the caller
+/// carves into unit-sized slices (survivor sets, pre-images, rebuild
+/// fan-ins).  Grow-only, independent of scratch(), so a path may use
+/// both.
 [[nodiscard]] std::span<std::uint8_t> arena(std::size_t size) {
   thread_local std::vector<std::uint8_t> buffer;
   if (buffer.size() < size) buffer.resize(size);
   return {buffer.data(), size};
+}
+
+/// Prefixes a gather()'s checksum-mismatch message with the caller's
+/// context ("degraded read of logical 7: unit (disk 3, unit 12) failed
+/// CRC32C verification"); any other status passes through untouched.
+[[nodiscard]] Status in_context(Status status, const std::string& what) {
+  if (status.code() != StatusCode::kChecksumMismatch) return status;
+  return Status::checksum_mismatch(what + ": " + status.message());
 }
 
 /// Decodes erased_index[0]'s bytes into `out` from gathered survivor
@@ -114,8 +124,9 @@ Result<StripeStore> StripeStore::create(api::Array array,
   if (Status opened = store.backend_->open(geometry); !opened.ok())
     return opened;
 
-  // Cache zero-copy views when the backend offers them (all disks or
-  // none, per the DiskBackend contract).
+  // Cache the backend's memory views when it offers them (all disks or
+  // none, per the DiskBackend contract): gather() then aliases reads
+  // straight out of the disk images.
   std::vector<std::span<std::uint8_t>> views;
   views.reserve(geometry.num_disks);
   for (DiskId disk = 0; disk < geometry.num_disks; ++disk) {
@@ -133,14 +144,9 @@ Result<StripeStore> StripeStore::create(api::Array array,
     store.crc_.resize(geometry.num_disks);
     std::vector<std::uint8_t> raw(units * 4);
     for (DiskId disk = 0; disk < geometry.num_disks; ++disk) {
-      if (!store.views_.empty()) {
-        std::memcpy(raw.data(),
-                    store.views_[disk].data() + store.crc_base_, units * 4);
-      } else if (Status read = store.backend_->read(
-                     disk, store.crc_base_, {raw.data(), raw.size()});
-                 !read.ok()) {
+      if (Status read = store.backend_->read(disk, store.crc_base_, raw);
+          !read.ok())
         return read;
-      }
       store.crc_[disk].resize(units);
       std::memcpy(store.crc_[disk].data(), raw.data(), units * 4);
     }
@@ -188,40 +194,105 @@ bool StripeStore::parity_torn(std::uint32_t stripe,
 
 // ------------------------------------------------------- unit primitives
 
-Status StripeStore::load_unit(Physical p, std::span<std::uint8_t> out) {
-  if (const auto view = unit_view(p); !view.empty()) {
-    std::memcpy(out.data(), view.data(), unit_bytes_);
-    return OkStatus();
+Status StripeStore::gather(IoClass io_class, std::span<const Physical> units,
+                           std::size_t num_alias, std::span<std::uint8_t> slab,
+                           std::span<std::span<const std::uint8_t>> bytes,
+                           bool verify, std::span<Status> statuses) const {
+  const auto slice = [&](std::size_t i) {
+    return slab.subspan(i * unit_bytes_, unit_bytes_);
+  };
+  Status io;
+  if (!views_.empty()) {
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      const auto image = views_[units[i].disk].subspan(
+          static_cast<std::size_t>(byte_offset(units[i].offset)), unit_bytes_);
+      if (i < num_alias) {
+        bytes[i] = image;
+      } else {
+        std::memcpy(slice(i).data(), image.data(), unit_bytes_);
+        bytes[i] = slice(i);
+      }
+    }
+    std::fill(statuses.begin(), statuses.end(), OkStatus());
+  } else if (units.size() == 1 && io_class == IoClass::kForegroundRead) {
+    // A lone foreground read (every direct read): read() is exactly a
+    // one-request batch of this class on every backend, without the
+    // batch bookkeeping.
+    bytes[0] = slice(0);
+    io = backend_->read(units[0].disk, byte_offset(units[0].offset), slice(0));
+    if (!statuses.empty()) statuses[0] = io;
+    if (!io.ok() && statuses.empty()) return io;
+  } else {
+    thread_local std::vector<IoRequest> reads;
+    reads.clear();
+    for (std::size_t i = 0; i < units.size(); ++i) {
+      reads.push_back(IoRequest::read_of(io_class, units[i].disk,
+                                         byte_offset(units[i].offset),
+                                         slice(i)));
+      bytes[i] = slice(i);
+    }
+    io = backend_->execute_batch(reads);
+    for (std::size_t i = 0; i < statuses.size(); ++i)
+      statuses[i] = reads[i].status;
+    if (!io.ok() && statuses.empty()) return io;
   }
-  return backend_->read(p.disk, byte_offset(p.offset), out);
+  if (!verify || !integrity_) return io;
+  Status rot;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (!statuses.empty() && !statuses[i].ok()) continue;
+    if (verify_unit_crc(units[i], bytes[i])) continue;
+    Status bad = Status::checksum_mismatch(
+        "unit (disk " + std::to_string(units[i].disk) + ", unit " +
+        std::to_string(units[i].offset) + ") failed CRC32C verification");
+    if (statuses.empty()) return bad;
+    if (rot.ok()) rot = bad;
+    statuses[i] = std::move(bad);
+  }
+  return io.ok() ? rot : io;
 }
 
-Status StripeStore::xor_unit_into(Physical p, std::span<std::uint8_t> acc,
-                                  std::span<std::uint8_t> staging) {
-  if (const auto view = unit_view(p); !view.empty()) {
-    core::xor_into(acc, view);
-    return OkStatus();
+Status StripeStore::scatter(std::span<IoRequest> writes, bool journal) {
+  const auto execute = [&](std::span<IoRequest> batch) {
+    return journal ? execute_batch_journaled(batch)
+                   : backend_->execute_batch(batch);
+  };
+  if (!integrity_) return execute(writes);
+  // The checksum words ride in the SAME batch -- and the same journal
+  // record -- as the unit writes, so replay restores units and
+  // checksums together.  The cache adopts them only once every request
+  // landed; on failure it still holds the pre-write checksums the
+  // caller's compensation restores.
+  thread_local std::vector<IoRequest> batch;
+  thread_local std::vector<std::array<std::uint8_t, 4>> words;
+  words.resize(writes.size());
+  batch.assign(writes.begin(), writes.end());
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    const IoRequest& w = writes[i];
+    const std::uint32_t crc = core::crc32c_nonzero(w.write_buf);
+    std::memcpy(words[i].data(), &crc, 4);
+    batch.push_back(IoRequest::write_of(
+        w.io_class, w.disk, crc_media_offset(w.offset / unit_bytes_),
+        words[i]));
   }
-  if (Status read = backend_->read(p.disk, byte_offset(p.offset), staging);
-      !read.ok())
-    return read;
-  core::xor_into(acc, staging);
+  const Status done = execute(batch);
+  for (std::size_t i = 0; i < writes.size(); ++i)
+    writes[i].status = batch[i].status;
+  if (!done.ok()) return done;
+  for (std::size_t i = 0; i < writes.size(); ++i)
+    std::memcpy(&crc_[writes[i].disk][writes[i].offset / unit_bytes_],
+                words[i].data(), 4);
   return OkStatus();
 }
 
 Status StripeStore::store_unit(Physical p,
                                std::span<const std::uint8_t> data) {
-  if (const auto view = unit_view(p); !view.empty()) {
-    std::memcpy(view.data(), data.data(), unit_bytes_);
-    return OkStatus();
-  }
   return backend_->write(p.disk, byte_offset(p.offset), data);
 }
 
 // ---------------------------------------------------- integrity internals
 
 bool StripeStore::verify_unit_crc(Physical p,
-                                  std::span<const std::uint8_t> bytes) {
+                                  std::span<const std::uint8_t> bytes) const {
   if (!integrity_) return true;
   const std::uint32_t stored = crc_[p.disk][p.offset];
   if (stored == 0) return true;  // unverified: no claim to check against
@@ -235,14 +306,8 @@ bool StripeStore::verify_unit_crc(Physical p,
 
 Status StripeStore::crc_persist(Physical p) {
   if (!integrity_) return OkStatus();
-  const std::uint32_t value = crc_[p.disk][p.offset];
   std::array<std::uint8_t, 4> word;
-  std::memcpy(word.data(), &value, 4);
-  if (!views_.empty()) {
-    std::memcpy(views_[p.disk].data() + crc_media_offset(p.offset),
-                word.data(), 4);
-    return OkStatus();
-  }
+  std::memcpy(word.data(), &crc_[p.disk][p.offset], 4);
   return backend_->write(p.disk, crc_media_offset(p.offset), word);
 }
 
@@ -251,34 +316,6 @@ Status StripeStore::set_fresh_crc(Physical p,
   if (!integrity_) return OkStatus();
   crc_[p.disk][p.offset] = core::crc32c_nonzero(bytes);
   return crc_persist(p);
-}
-
-std::uint32_t StripeStore::stage_crc_writes(
-    std::span<IoRequest> requests, std::uint32_t count,
-    std::span<std::array<std::uint8_t, 4>> staging) {
-  if (!integrity_) return count;
-  std::uint32_t total = count;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const IoRequest& w = requests[i];
-    const std::uint64_t unit = w.offset / unit_bytes_;
-    const std::uint32_t crc = core::crc32c_nonzero(w.write_buf);
-    std::memcpy(staging[i].data(), &crc, 4);
-    requests[total++] = IoRequest::write_of(w.io_class, w.disk,
-                                            crc_media_offset(unit),
-                                            staging[i]);
-  }
-  return total;
-}
-
-void StripeStore::commit_staged_crcs(
-    std::span<const IoRequest> units,
-    std::span<const std::array<std::uint8_t, 4>> staging) {
-  if (!integrity_) return;
-  for (std::size_t i = 0; i < units.size(); ++i) {
-    std::uint32_t crc = 0;
-    std::memcpy(&crc, staging[i].data(), 4);
-    crc_[units[i].disk][units[i].offset / unit_bytes_] = crc;
-  }
 }
 
 Status StripeStore::execute_batch_journaled(std::span<IoRequest> batch) {
@@ -345,58 +382,39 @@ Status StripeStore::read_locked(std::uint64_t logical,
   const auto plan = array_.locate(
       logical, survivors, {survivor_idx.data(), survivor_idx.size()});
   if (!plan.ok()) return plan.status();
+  const auto served_from_cache = [&] {
+    if (receipt) {
+      receipt->kind = plan->kind;
+      receipt->num_touched = 0;
+    }
+    return OkStatus();
+  };
 
   switch (plan->kind) {
     case api::ReadPlan::Kind::kDirect: {
+      std::uint32_t heat = 0;
       if (cache_) {
         const std::uint64_t instance = instance_of(logical);
-        const std::uint32_t heat = cache_->note(instance);
+        heat = cache_->note(instance);
         // Read-your-writes: an absorbed (not yet folded) write's pinned
         // bytes are the unit's current value; media is one fold behind.
         if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance))
           if (const StripeCache::DirtyUnit* unit = entry->find(logical)) {
             std::memcpy(out.data(), unit->bytes.data(), unit_bytes_);
             cache_->count_hit();
-            if (receipt) {
-              receipt->kind = plan->kind;
-              receipt->num_touched = 0;
-            }
-            return OkStatus();
+            return served_from_cache();
           }
-        if (cache_->lookup(logical, out)) {
-          // Cached payloads were CRC-verified at fill and invalidated
-          // on every write -- serving them touches no disk.
-          if (receipt) {
-            receipt->kind = plan->kind;
-            receipt->num_touched = 0;
-          }
-          return OkStatus();
-        }
-        if (Status loaded = load_unit(plan->target, out); !loaded.ok())
-          return loaded;
-        if (!verify_unit_crc(plan->target, out))
-          return Status::checksum_mismatch(
-              "logical " + std::to_string(logical) + " (disk " +
-              std::to_string(plan->target.disk) + ", unit " +
-              std::to_string(plan->target.offset) +
-              ") failed CRC32C verification");
-        if (heat >= cache_->options().hot_threshold)
-          cache_->fill(logical, out);
-        if (receipt) {
-          receipt->kind = plan->kind;
-          receipt->num_touched = 1;
-          receipt->touched[0] = plan->target;
-        }
-        return OkStatus();
+        // Cached payloads were CRC-verified at fill and invalidated on
+        // every write -- serving them touches no disk.
+        if (cache_->lookup(logical, out)) return served_from_cache();
       }
-      if (Status loaded = load_unit(plan->target, out); !loaded.ok())
-        return loaded;
-      if (!verify_unit_crc(plan->target, out))
-        return Status::checksum_mismatch(
-            "logical " + std::to_string(logical) + " (disk " +
-            std::to_string(plan->target.disk) + ", unit " +
-            std::to_string(plan->target.offset) +
-            ") failed CRC32C verification");
+      std::span<const std::uint8_t> loaded;
+      if (Status got = gather(IoClass::kForegroundRead, {&plan->target, 1}, 0,
+                              out, {&loaded, 1}, true);
+          !got.ok())
+        return in_context(std::move(got), "logical " + std::to_string(logical));
+      if (cache_ && heat >= cache_->options().hot_threshold)
+        cache_->fill(logical, out);
       if (receipt) {
         receipt->kind = plan->kind;
         receipt->num_touched = 1;
@@ -417,52 +435,25 @@ Status StripeStore::read_locked(std::uint64_t logical,
         // survivor fan-in + decode (dirty instances are never degraded
         // -- fail_disk flushes the table first -- so no pin check).
         heat = cache_->note(instance_of(logical));
-        if (cache_->lookup(logical, out)) {
-          if (receipt) {
-            receipt->kind = plan->kind;
-            receipt->num_touched = 0;
-          }
-          return OkStatus();
-        }
+        if (cache_->lookup(logical, out)) return served_from_cache();
       }
+      // ONE gather fans every survivor out (aliased in place when the
+      // backend allows), then a single decode pass folds them into
+      // `out`.  A degraded decode trusts every survivor byte, so each is
+      // verified: rot in ANY of them would silently materialize as the
+      // "reconstructed" unit.
       const std::uint32_t n = plan->num_survivors;
-      const std::span<const std::uint32_t> erased{plan->erased_index.data(),
-                                                  plan->num_erased};
       std::array<std::span<const std::uint8_t>, 64> srcs;
-      if (!views_.empty()) {
-        // Zero-copy: decode every survivor straight out of the disk
-        // images in one pass over `out`.
-        for (std::uint32_t i = 0; i < n; ++i) srcs[i] = unit_view(survivors[i]);
-      } else {
-        // Streamed: ONE batched submission fans every survivor read out
-        // to its disk (an async backend serves them concurrently), then
-        // a single decode pass folds the arena into `out`.
-        const auto slab = arena(static_cast<std::size_t>(n) * unit_bytes_);
-        std::array<IoRequest, 64> requests;
-        for (std::uint32_t i = 0; i < n; ++i) {
-          const auto slice = slab.subspan(
-              static_cast<std::size_t>(i) * unit_bytes_, unit_bytes_);
-          requests[i] = IoRequest::read_of(IoClass::kForegroundRead,
-                                           survivors[i].disk,
-                                           byte_offset(survivors[i].offset),
-                                           slice);
-          srcs[i] = slice;
-        }
-        if (Status fanned = backend_->execute_batch({requests.data(), n});
-            !fanned.ok())
-          return fanned;
-      }
-      // A degraded decode trusts every survivor byte: rot in ANY of
-      // them would silently materialize as the "reconstructed" unit.
-      for (std::uint32_t i = 0; i < n && integrity_; ++i)
-        if (!verify_unit_crc(survivors[i], srcs[i]))
-          return Status::checksum_mismatch(
-              "degraded read of logical " + std::to_string(logical) +
-              ": survivor (disk " + std::to_string(survivors[i].disk) +
-              ", unit " + std::to_string(survivors[i].offset) +
-              ") failed CRC32C verification");
+      if (Status got = gather(IoClass::kForegroundRead, {survivors.data(), n},
+                              n, arena(static_cast<std::size_t>(n) *
+                                       unit_bytes_),
+                              {srcs.data(), n}, true);
+          !got.ok())
+        return in_context(std::move(got),
+                          "degraded read of logical " + std::to_string(logical));
       decode_unit(array_.codec(), plan->num_data, {srcs.data(), n},
-                  {survivor_idx.data(), n}, erased, out);
+                  {survivor_idx.data(), n},
+                  {plan->erased_index.data(), plan->num_erased}, out);
       // Caching the decoded content lets the NEXT read of this hot unit
       // skip the whole fan-in; invalidate-on-write keeps it coherent.
       if (cache_ && heat >= cache_->options().hot_threshold)
@@ -562,31 +553,20 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
     return out.subspan(i * unit_bytes_, unit_bytes_);
   };
 
-  if (!views_.empty()) {
-    // Zero-copy backends gain nothing from gathering: serve in place.
-    Status first;
-    for (std::size_t i = 0; i < logicals.size(); ++i) {
-      statuses[i] = read_locked(logicals[i], out_slice(i),
-                                receipts.empty() ? nullptr : &receipts[i]);
-      if (!statuses[i].ok() && first.ok()) first = statuses[i];
-    }
-    return first;
-  }
-
-  // Gather phase: plan every unit, emitting backend requests for direct
-  // targets (straight into the caller's slice) and degraded survivor
-  // sets (into arena slices, XORed after the fan-out completes).
+  // Plan phase: resolve every unit, serve cache hits, and list every
+  // physical unit the rest touch -- direct targets and degraded
+  // survivor sets alike -- for ONE gather below.
   struct Planned {
-    api::ReadPlan::Kind kind = api::ReadPlan::Kind::kUnrecoverable;
-    std::size_t first_request = 0;  ///< index into `requests`
-    std::uint32_t num_requests = 0;
-    bool served = false;     ///< resolved from the cache in the gather phase
+    api::ReadPlan plan;
+    std::size_t first = 0;   ///< index into `touched`
+    std::uint32_t count = 0;
+    bool served = false;     ///< resolved from the cache in the plan phase
     std::uint32_t heat = 0;  ///< hotness estimate, for fill-on-miss
   };
   std::vector<Planned> planned(logicals.size());
-  std::vector<IoRequest> requests;
-  std::vector<Physical> touched;  ///< per-request physical, for receipts
-  requests.reserve(logicals.size());
+  std::vector<std::array<Physical, 64>> survivor_sets(logicals.size());
+  std::vector<std::array<std::uint32_t, 64>> survivor_indices(logicals.size());
+  std::vector<Physical> touched;
   touched.reserve(logicals.size());
   Status first;
   const auto fail = [&](std::size_t i, Status status) {
@@ -594,45 +574,29 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
     if (!statuses[i].ok() && first.ok()) first = statuses[i];
   };
 
-  std::size_t degraded_slices = 0;
-  std::vector<std::uint32_t> survivor_counts(logicals.size(), 0);
-  std::vector<std::array<Physical, 64>> survivor_sets(logicals.size());
-  std::vector<std::array<std::uint32_t, 64>> survivor_indices(logicals.size());
-  std::vector<Result<api::ReadPlan>> plans;
-  plans.reserve(logicals.size());
-  for (std::size_t i = 0; i < logicals.size(); ++i) {
-    if (logicals[i] >= num_logical_units()) {
-      plans.emplace_back(Status::out_of_range(
-          "logical " + std::to_string(logicals[i]) +
-          " past the address space (" + std::to_string(num_logical_units()) +
-          " units)"));
-      continue;
-    }
-    plans.emplace_back(array_.locate(
-        logicals[i], survivor_sets[i],
-        {survivor_indices[i].data(), survivor_indices[i].size()}));
-    if (plans.back().ok() &&
-        plans.back()->kind == api::ReadPlan::Kind::kDegraded) {
-      survivor_counts[i] = plans.back()->num_survivors;
-      degraded_slices += plans.back()->num_survivors;
-    }
-  }
-  const auto slab = arena(degraded_slices * unit_bytes_);
-  std::size_t next_slice = 0;
-
   for (std::size_t i = 0; i < logicals.size(); ++i) {
     statuses[i] = OkStatus();
     if (!receipts.empty()) {
       receipts[i].kind = api::ReadPlan::Kind::kUnrecoverable;
       receipts[i].num_touched = 0;
     }
-    if (!plans[i].ok()) {
-      fail(i, plans[i].status());
+    if (logicals[i] >= num_logical_units()) {
+      fail(i, Status::out_of_range(
+                  "logical " + std::to_string(logicals[i]) +
+                  " past the address space (" +
+                  std::to_string(num_logical_units()) + " units)"));
       continue;
     }
-    const auto& plan = *plans[i];
-    planned[i].kind = plan.kind;
-    planned[i].first_request = requests.size();
+    const auto located = array_.locate(
+        logicals[i], survivor_sets[i],
+        {survivor_indices[i].data(), survivor_indices[i].size()});
+    if (!located.ok()) {
+      fail(i, located.status());
+      continue;
+    }
+    const api::ReadPlan& plan = *located;
+    planned[i].plan = plan;
+    planned[i].first = touched.size();
     // Cache probe: pinned dirty bytes, then the read cache -- a hit
     // drops the unit from the fan-out entirely.  Torn degraded units
     // must still fail below, exactly as an uncached batch would.
@@ -662,12 +626,8 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
     }
     switch (plan.kind) {
       case api::ReadPlan::Kind::kDirect:
-        requests.push_back(IoRequest::read_of(IoClass::kForegroundRead,
-                                              plan.target.disk,
-                                              byte_offset(plan.target.offset),
-                                              out_slice(i)));
         touched.push_back(plan.target);
-        planned[i].num_requests = 1;
+        planned[i].count = 1;
         break;
       case api::ReadPlan::Kind::kDegraded:
         if (is_torn(instance_of(logicals[i]))) {
@@ -678,16 +638,9 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
                       "failed)"));
           break;
         }
-        for (std::uint32_t s = 0; s < survivor_counts[i]; ++s) {
-          const Physical survivor = survivor_sets[i][s];
-          requests.push_back(IoRequest::read_of(
-              IoClass::kForegroundRead, survivor.disk,
-              byte_offset(survivor.offset),
-              slab.subspan(next_slice * unit_bytes_, unit_bytes_)));
-          touched.push_back(survivor);
-          ++next_slice;
-        }
-        planned[i].num_requests = survivor_counts[i];
+        touched.insert(touched.end(), survivor_sets[i].begin(),
+                       survivor_sets[i].begin() + plan.num_survivors);
+        planned[i].count = plan.num_survivors;
         break;
       case api::ReadPlan::Kind::kUnrecoverable:
         fail(i, Status::data_loss("logical " + std::to_string(logicals[i]) +
@@ -697,62 +650,40 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
     }
   }
 
-  // Fan-out phase: the whole batch crosses the backend seam ONCE.
-  if (!requests.empty()) (void)backend_->execute_batch(requests);
+  // Fan-out phase: the whole batch crosses the backend seam ONCE (or
+  // aliases the images), every touched unit verified on the way.
+  std::vector<std::span<const std::uint8_t>> bytes(touched.size());
+  std::vector<Status> outcomes(touched.size());
+  if (!touched.empty())
+    (void)gather(IoClass::kForegroundRead, touched, touched.size(),
+                 arena(touched.size() * unit_bytes_), bytes, true, outcomes);
 
-  // Resolve phase: per-unit statuses, XOR folds, receipts.
+  // Resolve phase: per-unit statuses, decodes, receipts.
   for (std::size_t i = 0; i < logicals.size(); ++i) {
-    if (!statuses[i].ok()) continue;  // planning already failed it
     const Planned& p = planned[i];
-    if (p.served) continue;  // cache hit: bytes and receipt already final
+    if (!statuses[i].ok() || p.served) continue;
     Status unit;
-    for (std::uint32_t r = 0; r < p.num_requests && unit.ok(); ++r)
-      unit = requests[p.first_request + r].status;
+    for (std::uint32_t r = 0; r < p.count && unit.ok(); ++r)
+      unit = outcomes[p.first + r];
     if (!unit.ok()) {
-      fail(i, unit);
+      fail(i, in_context(std::move(unit), "batched read of logical " +
+                                              std::to_string(logicals[i])));
       continue;
     }
-    if (integrity_) {
-      // Verify everything this unit's resolution touched: the direct
-      // target (caller's slice) or every degraded survivor (arena).
-      Status verified;
-      for (std::uint32_t r = 0; r < p.num_requests && verified.ok(); ++r) {
-        const Physical touched_unit = touched[p.first_request + r];
-        const auto bytes =
-            p.kind == api::ReadPlan::Kind::kDirect
-                ? std::span<const std::uint8_t>(out_slice(i))
-                : std::span<const std::uint8_t>(
-                      requests[p.first_request + r].read_buf);
-        if (!verify_unit_crc(touched_unit, bytes))
-          verified = Status::checksum_mismatch(
-              "batched read of logical " + std::to_string(logicals[i]) +
-              ": unit (disk " + std::to_string(touched_unit.disk) +
-              ", unit " + std::to_string(touched_unit.offset) +
-              ") failed CRC32C verification");
-      }
-      if (!verified.ok()) {
-        fail(i, std::move(verified));
-        continue;
-      }
-    }
-    if (p.kind == api::ReadPlan::Kind::kDegraded) {
-      std::array<std::span<const std::uint8_t>, 64> srcs;
-      for (std::uint32_t r = 0; r < p.num_requests; ++r)
-        srcs[r] = requests[p.first_request + r].read_buf;
-      decode_unit(array_.codec(), plans[i]->num_data,
-                  {srcs.data(), p.num_requests},
-                  {survivor_indices[i].data(), p.num_requests},
-                  {plans[i]->erased_index.data(), plans[i]->num_erased},
+    if (p.plan.kind == api::ReadPlan::Kind::kDirect)
+      std::memcpy(out_slice(i).data(), bytes[p.first].data(), unit_bytes_);
+    else
+      decode_unit(array_.codec(), p.plan.num_data, {&bytes[p.first], p.count},
+                  {survivor_indices[i].data(), p.count},
+                  {p.plan.erased_index.data(), p.plan.num_erased},
                   out_slice(i));
-    }
     if (cache_ && p.heat >= cache_->options().hot_threshold)
       cache_->fill(logicals[i], out_slice(i));
     if (!receipts.empty()) {
-      receipts[i].kind = p.kind;
-      receipts[i].num_touched = p.num_requests;
-      std::copy_n(touched.begin() + static_cast<std::ptrdiff_t>(
-                                        p.first_request),
-                  p.num_requests, receipts[i].touched.begin());
+      receipts[i].kind = p.plan.kind;
+      receipts[i].num_touched = p.count;
+      std::copy_n(touched.begin() + static_cast<std::ptrdiff_t>(p.first),
+                  p.count, receipts[i].touched.begin());
     }
   }
   return first;
@@ -856,97 +787,66 @@ Status StripeStore::write_locked(std::uint64_t logical,
       if (array_.num_parity_units() > 1)
         return write_rmw_multi(*plan, data, instance, receipt);
       // parity ^= old ^ new, then the data unit takes the new bytes.
-      if (const auto p = unit_view(plan->parity); !p.empty()) {
-        // Verify BEFORE the in-place fold: rot in the old parity or old
-        // data would otherwise be laundered into the new parity.
-        if (!verify_unit_crc(plan->parity, p) ||
-            !verify_unit_crc(plan->data, unit_view(plan->data)))
-          return Status::checksum_mismatch(
-              "RMW of logical " + std::to_string(logical) +
-              ": a pre-image unit failed CRC32C verification");
-        // Zero-copy: one blocked pass folds old parity, old data, and
-        // new data into the parity image in place.
-        const std::span<const std::uint8_t> srcs[] = {
-            p, unit_view(plan->data), data};
-        core::xor_parity_into(p, srcs);
-        std::memcpy(unit_view(plan->data).data(), data.data(), unit_bytes_);
-        if (Status crc = set_fresh_crc(plan->parity, p); !crc.ok()) return crc;
-        if (Status crc = set_fresh_crc(plan->data, data); !crc.ok()) return crc;
-      } else {
-        const auto parity = scratch(0, unit_bytes_);
-        const auto staging = scratch(1, unit_bytes_);
-        // Both RMW reads (old parity + old data) go out as ONE batched
-        // submission -- they hit different disks by construction, so an
-        // async backend overlaps them.  staging keeps the old data bytes
-        // for the compensation paths below.
-        std::array<IoRequest, 2> loads = {
-            IoRequest::read_of(IoClass::kForegroundWrite, plan->parity.disk,
-                               byte_offset(plan->parity.offset), parity),
-            IoRequest::read_of(IoClass::kForegroundWrite, plan->data.disk,
-                               byte_offset(plan->data.offset), staging)};
-        if (Status loaded = backend_->execute_batch(loads); !loaded.ok())
-          return loaded;
-        if (!verify_unit_crc(plan->parity, parity) ||
-            !verify_unit_crc(plan->data, staging))
-          return Status::checksum_mismatch(
-              "RMW of logical " + std::to_string(logical) +
-              ": a pre-image unit failed CRC32C verification");
-        core::xor_into(parity, staging);
-        core::xor_into(parity, data);
-        // Both RMW writes batched too.  The writes are concurrent, so
-        // EITHER may land alone; each partial outcome has a
-        // compensation that restores the consistent pre-write state:
-        //   * parity landed, data failed -> restore old parity
-        //     (P_old = P_new ^ D_old ^ D_new);
-        //   * data landed, parity failed -> restore the old data bytes
-        //     held in staging (old parity still on disk matches them).
-        // Either way a caller retry is then safe.  Both-failed needs no
-        // compensation (nothing landed); only a failure of the
-        // compensating write itself leaves the stripe torn -- the same
-        // window the sequential path had.
-        std::array<IoRequest, 4> stores;
-        stores[0] =
-            IoRequest::write_of(IoClass::kForegroundWrite, plan->parity.disk,
-                                byte_offset(plan->parity.offset), parity);
-        stores[1] =
-            IoRequest::write_of(IoClass::kForegroundWrite, plan->data.disk,
-                                byte_offset(plan->data.offset), data);
-        std::array<std::array<std::uint8_t, 4>, 2> crc_staging;
-        const std::uint32_t total =
-            stage_crc_writes(stores, 2, crc_staging);
-        if (Status stored =
-                execute_batch_journaled({stores.data(), total});
-            !stored.ok()) {
-          Status compensation;
-          if (stores[0].status.ok() && !stores[1].status.ok()) {
-            core::xor_into(parity, staging);
-            core::xor_into(parity, data);
-            compensation = store_unit(plan->parity, parity);
-          } else if (!stores[0].status.ok() && stores[1].status.ok()) {
-            compensation = store_unit(plan->data, staging);
-          }
-          if (compensation.ok() && integrity_) {
-            // Restore the PRE-write checksums too (the cache still
-            // holds them): a landed checksum write would otherwise
-            // leave media claiming the new bytes.  Best-effort -- a
-            // stale media checksum only costs a reopen-time heal.
-            (void)crc_persist(plan->parity);
-            (void)crc_persist(plan->data);
-          }
-          if (!compensation.ok()) {
-            // The compensating write ALSO failed: parity and data now
-            // disagree on disk and nothing in the stripe says so.  Record
-            // the tear so parity-trusting paths (degraded reads, rebuild
-            // decodes) refuse the instance until a heal re-encodes it.
-            mark_torn(instance);
-            return Status::parity_inconsistent(
-                "RMW compensation failed after a partial stripe write (" +
-                compensation.message() +
-                "); stripe instance marked parity-torn");
-          }
-          return stored;
+      // ONE gather loads both pre-images -- copied, never aliased: this
+      // write overwrites them and the compensation below restores them.
+      // Verified BEFORE the fold: rot in the old parity or old data
+      // would otherwise be laundered into the new parity.
+      const std::array<Physical, 2> pre = {plan->parity, plan->data};
+      const auto slab = arena(2 * static_cast<std::size_t>(unit_bytes_));
+      std::array<std::span<const std::uint8_t>, 2> loaded;
+      if (Status got = gather(IoClass::kForegroundWrite, pre, 0, slab, loaded,
+                              true);
+          !got.ok())
+        return in_context(std::move(got),
+                          "RMW of logical " + std::to_string(logical));
+      const auto parity = slab.first(unit_bytes_);
+      const auto staging = slab.subspan(unit_bytes_);  // old data bytes
+      const std::span<const std::uint8_t> fold[] = {parity, staging, data};
+      core::xor_parity_into(parity, fold);
+      // Both RMW writes go out as ONE batch.  The writes are concurrent,
+      // so EITHER may land alone; each partial outcome has a
+      // compensation that restores the consistent pre-write state:
+      //   * parity landed, data failed -> restore old parity
+      //     (P_old = P_new ^ D_old ^ D_new);
+      //   * data landed, parity failed -> restore the old data bytes
+      //     held in staging (old parity still on disk matches them).
+      // Either way a caller retry is then safe.  Both-failed needs no
+      // compensation (nothing landed); only a failure of the
+      // compensating write itself leaves the stripe torn.
+      std::array<IoRequest, 2> stores = {
+          IoRequest::write_of(IoClass::kForegroundWrite, plan->parity.disk,
+                              byte_offset(plan->parity.offset), parity),
+          IoRequest::write_of(IoClass::kForegroundWrite, plan->data.disk,
+                              byte_offset(plan->data.offset), data)};
+      if (Status stored = scatter(stores, true); !stored.ok()) {
+        Status compensation;
+        if (stores[0].status.ok() && !stores[1].status.ok()) {
+          core::xor_into(parity, staging);
+          core::xor_into(parity, data);
+          compensation = store_unit(plan->parity, parity);
+        } else if (!stores[0].status.ok() && stores[1].status.ok()) {
+          compensation = store_unit(plan->data, staging);
         }
-        commit_staged_crcs({stores.data(), 2}, crc_staging);
+        if (compensation.ok() && integrity_) {
+          // Restore the PRE-write checksums too (the cache still
+          // holds them): a landed checksum write would otherwise
+          // leave media claiming the new bytes.  Best-effort -- a
+          // stale media checksum only costs a reopen-time heal.
+          (void)crc_persist(plan->parity);
+          (void)crc_persist(plan->data);
+        }
+        if (!compensation.ok()) {
+          // The compensating write ALSO failed: parity and data now
+          // disagree on disk and nothing in the stripe says so.  Record
+          // the tear so parity-trusting paths (degraded reads, rebuild
+          // decodes) refuse the instance until a heal re-encodes it.
+          mark_torn(instance);
+          return Status::parity_inconsistent(
+              "RMW compensation failed after a partial stripe write (" +
+              compensation.message() +
+              "); stripe instance marked parity-torn");
+        }
+        return stored;
       }
       if (receipt) {
         receipt->num_reads = 2;
@@ -974,75 +874,41 @@ Status StripeStore::write_locked(std::uint64_t logical,
             *plan, {peers.data(), plan->num_peer_reads},
             {peer_idx.data(), plan->num_peer_reads}, data, instance, receipt);
       // The data unit's disk is gone: fold the new value into parity so a
-      // degraded read reconstructs it.  parity = XOR(peers) ^ new data.
-      if (!views_.empty()) {
-        std::array<std::span<const std::uint8_t>, 64> srcs;
-        for (std::uint32_t i = 0; i < plan->num_peer_reads; ++i) {
-          srcs[i] = unit_view(peers[i]);
-          if (!verify_unit_crc(peers[i], srcs[i]))
-            return Status::checksum_mismatch(
-                "reconstruct-write of logical " + std::to_string(logical) +
-                ": peer (disk " + std::to_string(peers[i].disk) + ", unit " +
-                std::to_string(peers[i].offset) +
-                ") failed CRC32C verification");
-        }
-        srcs[plan->num_peer_reads] = data;
-        core::xor_parity_into(unit_view(plan->parity),
-                              {srcs.data(), plan->num_peer_reads + 1u});
-        if (Status crc = set_fresh_crc(plan->parity, unit_view(plan->parity));
-            !crc.ok())
-          return crc;
-      } else {
-        // ONE batched submission fans the peer reads out (each peer is
-        // on a distinct disk), then parity = XOR(peers) ^ new data in a
-        // single pass over the arena.
-        const std::uint32_t n = plan->num_peer_reads;
-        const auto parity = scratch(0, unit_bytes_);
-        const auto slab = arena(static_cast<std::size_t>(n) * unit_bytes_);
-        std::array<IoRequest, 64> requests;
-        for (std::uint32_t i = 0; i < n; ++i)
-          requests[i] = IoRequest::read_of(
-              IoClass::kForegroundWrite, peers[i].disk,
-              byte_offset(peers[i].offset),
-              slab.subspan(static_cast<std::size_t>(i) * unit_bytes_,
-                           unit_bytes_));
-        if (Status fanned = backend_->execute_batch({requests.data(), n});
-            !fanned.ok())
-          return fanned;
-        for (std::uint32_t i = 0; i < n && integrity_; ++i)
-          if (!verify_unit_crc(peers[i], requests[i].read_buf))
-            return Status::checksum_mismatch(
-                "reconstruct-write of logical " + std::to_string(logical) +
-                ": peer (disk " + std::to_string(peers[i].disk) + ", unit " +
-                std::to_string(peers[i].offset) +
-                ") failed CRC32C verification");
-        std::memcpy(parity.data(), data.data(), unit_bytes_);
-        for (std::uint32_t i = 0; i < n; ++i)
-          core::xor_into(parity, requests[i].read_buf);
-        std::array<IoRequest, 2> stores;
-        stores[0] =
-            IoRequest::write_of(IoClass::kForegroundWrite, plan->parity.disk,
-                                byte_offset(plan->parity.offset), parity);
-        std::array<std::array<std::uint8_t, 4>, 1> crc_staging;
-        const std::uint32_t total = stage_crc_writes(stores, 1, crc_staging);
-        if (Status stored = execute_batch_journaled({stores.data(), total});
-            !stored.ok())
-          return stored;
-        commit_staged_crcs({stores.data(), 1}, crc_staging);
-      }
+      // degraded read reconstructs it.  ONE gather fans the peers out
+      // (each on a distinct disk; aliased when the backend allows), then
+      // parity = XOR(peers) ^ new data in a single pass.
+      const std::uint32_t n = plan->num_peer_reads;
+      std::array<std::span<const std::uint8_t>, 64> srcs;
+      if (Status got = gather(IoClass::kForegroundWrite, {peers.data(), n}, n,
+                              arena(static_cast<std::size_t>(n) * unit_bytes_),
+                              {srcs.data(), n}, true);
+          !got.ok())
+        return in_context(std::move(got), "reconstruct-write of logical " +
+                                              std::to_string(logical));
+      srcs[n] = data;
+      const auto parity = scratch(0, unit_bytes_);
+      core::xor_parity_into(parity, {srcs.data(), n + 1u});
+      IoRequest store = IoRequest::write_of(
+          IoClass::kForegroundWrite, plan->parity.disk,
+          byte_offset(plan->parity.offset), parity);
+      if (Status stored = scatter({&store, 1}, true); !stored.ok())
+        return stored;
       if (receipt) {
-        receipt->num_reads = plan->num_peer_reads;
-        std::copy_n(peers.begin(), plan->num_peer_reads,
-                    receipt->reads.begin());
+        receipt->num_reads = n;
+        std::copy_n(peers.begin(), n, receipt->reads.begin());
         receipt->num_writes = 1;
         receipt->writes[0] = plan->parity;
       }
       return OkStatus();
     }
     case api::WritePlan::Kind::kUnprotectedWrite: {
-      if (Status stored = store_unit(plan->data, data); !stored.ok())
+      // No parity to keep in step, so nothing to journal.
+      IoRequest store = IoRequest::write_of(IoClass::kForegroundWrite,
+                                            plan->data.disk,
+                                            byte_offset(plan->data.offset),
+                                            data);
+      if (Status stored = scatter({&store, 1}, false); !stored.ok())
         return stored;
-      if (Status crc = set_fresh_crc(plan->data, data); !crc.ok()) return crc;
       if (receipt) {
         receipt->num_writes = 1;
         receipt->writes[0] = plan->data;
@@ -1063,104 +929,47 @@ Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
                                     WriteReceipt* receipt) {
   const core::Codec& codec = array_.codec();
   const std::uint32_t np = plan.num_parities;
-  const auto fill_receipt = [&] {
-    if (!receipt) return;
-    receipt->num_reads = 1 + np;
-    receipt->reads[0] = plan.data;
-    receipt->num_writes = 1 + np;
-    receipt->writes[0] = plan.data;
-    for (std::uint32_t j = 0; j < np; ++j) {
-      receipt->reads[1 + j] = plan.parity_targets[j];
-      receipt->writes[1 + j] = plan.parity_targets[j];
-    }
-  };
 
-  if (!views_.empty()) {
-    // Zero-copy: fold c_j * (old ^ new) into every surviving parity
-    // image in place, then the data unit takes the new bytes.  Verify
-    // every pre-image unit BEFORE the first in-place fold.
-    const auto delta = scratch(0, unit_bytes_);
-    const auto old_data = unit_view(plan.data);
-    if (!verify_unit_crc(plan.data, old_data))
-      return Status::checksum_mismatch(
-          "RMW: the old data unit failed CRC32C verification");
-    for (std::uint32_t j = 0; j < np && integrity_; ++j)
-      if (!verify_unit_crc(plan.parity_targets[j],
-                           unit_view(plan.parity_targets[j])))
-        return Status::checksum_mismatch(
-            "RMW: an old parity unit failed CRC32C verification");
-    std::memcpy(delta.data(), old_data.data(), unit_bytes_);
-    core::xor_into(delta, data);
-    for (std::uint32_t j = 0; j < np; ++j)
-      codec.update(unit_view(plan.parity_targets[j]), plan.parity_index[j],
-                   plan.data_index, delta);
-    std::memcpy(old_data.data(), data.data(), unit_bytes_);
-    if (integrity_) {
-      if (Status crc = set_fresh_crc(plan.data, data); !crc.ok()) return crc;
-      for (std::uint32_t j = 0; j < np; ++j)
-        if (Status crc = set_fresh_crc(plan.parity_targets[j],
-                                       unit_view(plan.parity_targets[j]));
-            !crc.ok())
-          return crc;
-    }
-    fill_receipt();
-    return OkStatus();
-  }
-
-  // Streamed: ONE batched submission loads the old data plus every
-  // surviving parity (distinct disks by construction), the coefficient
-  // folds happen in memory, then ONE batched submission stores the new
-  // data plus every new parity.
-  const auto staging = scratch(1, unit_bytes_);  // old data bytes
-  const auto delta = scratch(0, unit_bytes_);
-  const auto slab = arena(static_cast<std::size_t>(np) * unit_bytes_);
+  // ONE gather loads the old data plus every surviving parity (distinct
+  // disks by construction; copied, since this write overwrites them and
+  // the compensation below restores them), the coefficient folds happen
+  // in memory, then ONE scatter stores the new data plus every new
+  // parity.  Every pre-image is verified before the first fold.
+  std::array<Physical, 1 + api::kMaxParityUnits> pre;
+  pre[0] = plan.data;
+  for (std::uint32_t j = 0; j < np; ++j) pre[1 + j] = plan.parity_targets[j];
+  const auto slab = arena((1 + static_cast<std::size_t>(np)) * unit_bytes_);
+  std::array<std::span<const std::uint8_t>, 1 + api::kMaxParityUnits> loaded;
+  if (Status got = gather(IoClass::kForegroundWrite, {pre.data(), 1u + np}, 0,
+                          slab, {loaded.data(), 1u + np}, true);
+      !got.ok())
+    return in_context(std::move(got), "RMW");
+  const auto old_data = slab.first(unit_bytes_);
   const auto parity_buf = [&](std::uint32_t j) {
-    return slab.subspan(static_cast<std::size_t>(j) * unit_bytes_,
+    return slab.subspan((1 + static_cast<std::size_t>(j)) * unit_bytes_,
                         unit_bytes_);
   };
-  std::array<IoRequest, 1 + api::kMaxParityUnits> loads;
-  loads[0] = IoRequest::read_of(IoClass::kForegroundWrite, plan.data.disk,
-                                byte_offset(plan.data.offset), staging);
-  for (std::uint32_t j = 0; j < np; ++j)
-    loads[1 + j] = IoRequest::read_of(
-        IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-        byte_offset(plan.parity_targets[j].offset), parity_buf(j));
-  if (Status loaded = backend_->execute_batch({loads.data(), 1u + np});
-      !loaded.ok())
-    return loaded;
-  if (integrity_) {
-    if (!verify_unit_crc(plan.data, staging))
-      return Status::checksum_mismatch(
-          "RMW: the old data unit failed CRC32C verification");
-    for (std::uint32_t j = 0; j < np; ++j)
-      if (!verify_unit_crc(plan.parity_targets[j], parity_buf(j)))
-        return Status::checksum_mismatch(
-            "RMW: an old parity unit failed CRC32C verification");
-  }
-  std::memcpy(delta.data(), staging.data(), unit_bytes_);
-  core::xor_into(delta, data);
+  const auto delta = scratch(0, unit_bytes_);
+  const std::span<const std::uint8_t> change[] = {old_data, data};
+  core::xor_parity_into(delta, change);
   for (std::uint32_t j = 0; j < np; ++j)
     codec.update(parity_buf(j), plan.parity_index[j], plan.data_index, delta);
 
-  std::array<IoRequest, 2 * (1 + api::kMaxParityUnits)> stores;
+  std::array<IoRequest, 1 + api::kMaxParityUnits> stores;
   stores[0] = IoRequest::write_of(IoClass::kForegroundWrite, plan.data.disk,
                                   byte_offset(plan.data.offset), data);
   for (std::uint32_t j = 0; j < np; ++j)
     stores[1 + j] = IoRequest::write_of(
         IoClass::kForegroundWrite, plan.parity_targets[j].disk,
         byte_offset(plan.parity_targets[j].offset), parity_buf(j));
-  std::array<std::array<std::uint8_t, 4>, 1 + api::kMaxParityUnits>
-      crc_staging;
-  const std::uint32_t total = stage_crc_writes(stores, 1u + np, crc_staging);
-  if (Status stored = execute_batch_journaled({stores.data(), total});
-      !stored.ok()) {
+  if (Status stored = scatter({stores.data(), 1u + np}, true); !stored.ok()) {
     // Roll every LANDED write back to the consistent pre-write state:
     // the data unit takes its old bytes back, and a landed parity takes
     // a second identical fold (update is an involution) before being
     // rewritten.  A caller retry is then safe.  Only a failure of the
     // compensation itself leaves the stripe torn.
     Status compensation;
-    if (stores[0].status.ok()) compensation = store_unit(plan.data, staging);
+    if (stores[0].status.ok()) compensation = store_unit(plan.data, old_data);
     for (std::uint32_t j = 0; j < np; ++j) {
       if (!stores[1 + j].status.ok()) continue;
       codec.update(parity_buf(j), plan.parity_index[j], plan.data_index,
@@ -1185,8 +994,16 @@ Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
     }
     return stored;
   }
-  commit_staged_crcs({stores.data(), 1u + np}, crc_staging);
-  fill_receipt();
+  if (receipt) {
+    receipt->num_reads = 1 + np;
+    receipt->reads[0] = plan.data;
+    receipt->num_writes = 1 + np;
+    receipt->writes[0] = plan.data;
+    for (std::uint32_t j = 0; j < np; ++j) {
+      receipt->reads[1 + j] = plan.parity_targets[j];
+      receipt->writes[1 + j] = plan.parity_targets[j];
+    }
+  }
   return OkStatus();
 }
 
@@ -1202,9 +1019,7 @@ Status StripeStore::write_reconstruct_multi(
   const std::uint32_t kd = plan.num_data;
 
   // Slab layout: n peer slices | np old-parity slices | m decode
-  // buffers | m re-encoded parity buffers.  The view path reads peers
-  // and old parities straight out of the disk images and skips the
-  // first two sections.
+  // buffers | m re-encoded parity buffers.
   const auto slab = arena(
       (static_cast<std::size_t>(n) + np + 2 * static_cast<std::size_t>(m)) *
       unit_bytes_);
@@ -1213,45 +1028,27 @@ Status StripeStore::write_reconstruct_multi(
   };
 
   // Survivor set for the decode AND the compensation: peers first, then
-  // the surviving OLD parities (read before anything is overwritten).
+  // the surviving OLD parities, in ONE gather.  Peers may alias; the old
+  // parities are copied -- this write overwrites them, and the
+  // compensation restores them from the copies.  The decode AND the
+  // re-encode below trust every survivor byte, so all are verified.
+  std::array<Physical, 64> loads;
   std::array<std::span<const std::uint8_t>, 64> survivors;
   std::array<std::uint32_t, 64> survivor_idx;
-  if (!views_.empty()) {
-    for (std::uint32_t i = 0; i < n; ++i) survivors[i] = unit_view(peers[i]);
-    for (std::uint32_t j = 0; j < np; ++j)
-      survivors[n + j] = unit_view(plan.parity_targets[j]);
-  } else {
-    std::array<IoRequest, 64> loads;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      survivors[i] = slice(i);
-      loads[i] = IoRequest::read_of(IoClass::kForegroundWrite, peers[i].disk,
-                                    byte_offset(peers[i].offset), slice(i));
-    }
-    for (std::uint32_t j = 0; j < np; ++j) {
-      survivors[n + j] = slice(n + j);
-      loads[n + j] = IoRequest::read_of(
-          IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-          byte_offset(plan.parity_targets[j].offset), slice(n + j));
-    }
-    if (Status loaded = backend_->execute_batch({loads.data(), n + np});
-        !loaded.ok())
-      return loaded;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    loads[i] = peers[i];
+    survivor_idx[i] = peer_index[i];
   }
-  for (std::uint32_t i = 0; i < n; ++i) survivor_idx[i] = peer_index[i];
-  for (std::uint32_t j = 0; j < np; ++j)
+  for (std::uint32_t j = 0; j < np; ++j) {
+    loads[n + j] = plan.parity_targets[j];
     survivor_idx[n + j] = kd + plan.parity_index[j];
-  if (integrity_) {
-    // The decode AND the re-encode below trust every survivor byte.
-    for (std::uint32_t i = 0; i < n; ++i)
-      if (!verify_unit_crc(peers[i], survivors[i]))
-        return Status::checksum_mismatch(
-            "reconstruct-write: a peer unit failed CRC32C verification");
-    for (std::uint32_t j = 0; j < np; ++j)
-      if (!verify_unit_crc(plan.parity_targets[j], survivors[n + j]))
-        return Status::checksum_mismatch(
-            "reconstruct-write: an old parity unit failed CRC32C "
-            "verification");
   }
+  if (Status got = gather(
+          IoClass::kForegroundWrite, {loads.data(), n + np}, n,
+          slab.first((static_cast<std::size_t>(n) + np) * unit_bytes_),
+          {survivors.data(), n + np}, true);
+      !got.ok())
+    return in_context(std::move(got), "reconstruct-write");
 
   // Assemble the full data set: the new bytes stand in for the lost
   // addressed unit, and any OTHER erased data unit is decoded from the
@@ -1284,50 +1081,34 @@ Status StripeStore::write_reconstruct_multi(
     parity_out[j] = slice(static_cast<std::size_t>(n) + np + m + j);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
-  if (!views_.empty()) {
+  std::array<IoRequest, api::kMaxParityUnits> stores;
+  for (std::uint32_t j = 0; j < np; ++j)
+    stores[j] = IoRequest::write_of(
+        IoClass::kForegroundWrite, plan.parity_targets[j].disk,
+        byte_offset(plan.parity_targets[j].offset),
+        parity_out[plan.parity_index[j]]);
+  if (Status stored = scatter({stores.data(), np}, true); !stored.ok()) {
+    // Restore every LANDED parity from the old bytes read above, so
+    // the stripe still encodes the OLD value of the lost unit and a
+    // degraded read stays consistent.  Only a failed restore tears it.
+    Status compensation;
     for (std::uint32_t j = 0; j < np; ++j) {
-      std::memcpy(unit_view(plan.parity_targets[j]).data(),
-                  parity_out[plan.parity_index[j]].data(), unit_bytes_);
-      if (Status crc = set_fresh_crc(plan.parity_targets[j],
-                                     parity_out[plan.parity_index[j]]);
-          !crc.ok())
-        return crc;
+      if (!stores[j].status.ok()) continue;
+      if (Status undone = store_unit(plan.parity_targets[j], survivors[n + j]);
+          !undone.ok() && compensation.ok())
+        compensation = undone;
     }
-  } else {
-    std::array<IoRequest, 2 * api::kMaxParityUnits> stores;
-    for (std::uint32_t j = 0; j < np; ++j)
-      stores[j] = IoRequest::write_of(
-          IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-          byte_offset(plan.parity_targets[j].offset),
-          parity_out[plan.parity_index[j]]);
-    std::array<std::array<std::uint8_t, 4>, api::kMaxParityUnits> crc_staging;
-    const std::uint32_t total = stage_crc_writes(stores, np, crc_staging);
-    if (Status stored = execute_batch_journaled({stores.data(), total});
-        !stored.ok()) {
-      // Restore every LANDED parity from the old bytes read above, so
-      // the stripe still encodes the OLD value of the lost unit and a
-      // degraded read stays consistent.  Only a failed restore tears it.
-      Status compensation;
-      for (std::uint32_t j = 0; j < np; ++j) {
-        if (!stores[j].status.ok()) continue;
-        if (Status undone =
-                store_unit(plan.parity_targets[j], survivors[n + j]);
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      if (compensation.ok() && integrity_)
-        for (std::uint32_t j = 0; j < np; ++j)
-          (void)crc_persist(plan.parity_targets[j]);
-      if (!compensation.ok()) {
-        mark_torn(instance);
-        return Status::parity_inconsistent(
-            "reconstruct-write compensation failed after a partial parity "
-            "update (" +
-            compensation.message() + "); stripe instance marked parity-torn");
-      }
-      return stored;
+    if (compensation.ok() && integrity_)
+      for (std::uint32_t j = 0; j < np; ++j)
+        (void)crc_persist(plan.parity_targets[j]);
+    if (!compensation.ok()) {
+      mark_torn(instance);
+      return Status::parity_inconsistent(
+          "reconstruct-write compensation failed after a partial parity "
+          "update (" +
+          compensation.message() + "); stripe instance marked parity-torn");
     }
-    commit_staged_crcs({stores.data(), np}, crc_staging);
+    return stored;
   }
   if (receipt) {
     receipt->num_reads = n + np;
@@ -1363,43 +1144,42 @@ Status StripeStore::write_heal(std::uint64_t logical,
   // Heal = full-stripe re-encode: every peer's bytes plus the incoming
   // write give the complete data set; the codec then yields parity that
   // is consistent BY CONSTRUCTION, regardless of what the torn parity
-  // units currently hold.  Heals are rare (they need a double fault
-  // first), so the peer reads go out sequentially.
-  const auto slab = arena(
-      (static_cast<std::size_t>(*count) + m) * unit_bytes_);
+  // units currently hold.  The peers may alias: the heal rewrites only
+  // the data unit and the parities.  (Peer checksums are NOT verified:
+  // a torn instance's parity is untrustworthy by definition, so rot in
+  // a peer would be unhealable anyway -- the re-encode takes the peers
+  // as ground truth.)
+  const std::size_t n = *count;
+  const auto slab = arena((n + m) * unit_bytes_);
+  std::array<std::span<const std::uint8_t>, 64> loaded;
+  if (Status got = gather(IoClass::kForegroundWrite, {peers.data(), n}, n,
+                          slab.first(n * unit_bytes_), {loaded.data(), n},
+                          false);
+      !got.ok())
+    return got;
   std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    const auto buf =
-        slab.subspan(static_cast<std::size_t>(i) * unit_bytes_, unit_bytes_);
-    if (Status loaded = load_unit(peers[i], buf); !loaded.ok()) return loaded;
-    data_spans[peer_idx[i]] = buf;
-  }
+  for (std::size_t i = 0; i < n; ++i) data_spans[peer_idx[i]] = loaded[i];
   data_spans[plan.data_index] = data;
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
   for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slab.subspan(
-        (static_cast<std::size_t>(*count) + j) * unit_bytes_, unit_bytes_);
+    parity_out[j] = slab.subspan((n + j) * unit_bytes_, unit_bytes_);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
-  // Data first: if a parity write then fails, the stripe simply STAYS
-  // torn and the heal can be retried.  Clearing the tear before all
-  // writes land would let a parity-trusting read through too early.
-  // (Peer checksums are NOT verified here: a torn instance's parity is
-  // untrustworthy by definition, so rot in a peer would be unhealable
-  // anyway -- the re-encode takes the peers as ground truth.)
-  if (Status stored = store_unit(plan.data, data); !stored.ok())
-    return stored;
-  if (Status crc = set_fresh_crc(plan.data, data); !crc.ok()) return crc;
-  for (std::uint32_t j = 0; j < plan.num_parities; ++j) {
-    if (Status stored = store_unit(plan.parity_targets[j],
-                                   parity_out[plan.parity_index[j]]);
-        !stored.ok())
+  // Data first, one unit per scatter: if a parity write then fails, the
+  // stripe simply STAYS torn and the heal can be retried.  Clearing the
+  // tear before all writes land would let a parity-trusting read
+  // through too early.
+  std::array<IoRequest, 1 + api::kMaxParityUnits> stores;
+  stores[0] = IoRequest::write_of(IoClass::kForegroundWrite, plan.data.disk,
+                                  byte_offset(plan.data.offset), data);
+  for (std::uint32_t j = 0; j < plan.num_parities; ++j)
+    stores[1 + j] = IoRequest::write_of(
+        IoClass::kForegroundWrite, plan.parity_targets[j].disk,
+        byte_offset(plan.parity_targets[j].offset),
+        parity_out[plan.parity_index[j]]);
+  for (std::uint32_t i = 0; i <= plan.num_parities; ++i)
+    if (Status stored = scatter({&stores[i], 1}, false); !stored.ok())
       return stored;
-    if (Status crc = set_fresh_crc(plan.parity_targets[j],
-                                   parity_out[plan.parity_index[j]]);
-        !crc.ok())
-      return crc;
-  }
   clear_torn(instance);
   if (receipt) {
     receipt->num_reads = *count;
@@ -1439,25 +1219,18 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
 
   // Old bytes: the previously PINNED value when re-writing an
   // already-dirty unit (zero media traffic -- this is where the hot
-  // set's RMW tax disappears), otherwise the unit's media pre-image.
+  // set's RMW tax disappears), otherwise the unit's media pre-image
+  // (aliased when the backend allows: absorbing writes no media).
   const core::Codec& codec = array_.codec();
   StripeCache::DirtyUnit* unit = entry->find(logical);
   std::span<const std::uint8_t> old;
   if (unit) {
     old = unit->bytes;
-  } else {
-    const auto staging = scratch(1, unit_bytes_);
-    Status pre;
-    if (Status loaded = load_unit(plan.data, staging); !loaded.ok())
-      pre = loaded;
-    else if (!verify_unit_crc(plan.data, staging))
-      pre = Status::checksum_mismatch(
-          "absorbed RMW: the old data unit failed CRC32C verification");
-    if (!pre.ok()) {
-      if (entry->units.empty()) cache_->dirty_erase(instance);
-      return pre;
-    }
-    old = staging;
+  } else if (Status got = gather(IoClass::kForegroundWrite, {&plan.data, 1}, 1,
+                                 scratch(1, unit_bytes_), {&old, 1}, true);
+             !got.ok()) {
+    if (entry->units.empty()) cache_->dirty_erase(instance);
+    return in_context(std::move(got), "absorbed RMW");
   }
 
   // Accumulate c_j * (old ^ new) into each parity's delta, then pin
@@ -1465,8 +1238,8 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
   // unit is exact: its pinned bytes are the "old" the delta folds
   // against, so the accumulated sum telescopes.
   const auto delta = scratch(0, unit_bytes_);
-  std::memcpy(delta.data(), old.data(), unit_bytes_);
-  core::xor_into(delta, data);
+  const std::span<const std::uint8_t> change[] = {old, data};
+  core::xor_parity_into(delta, change);
   for (std::uint32_t j = 0; j < entry->num_parity; ++j)
     codec.update(entry->delta[j], entry->parity_index[j], plan.data_index,
                  delta);
@@ -1515,52 +1288,26 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
 
   const std::uint32_t np = entry->num_parity;
   const auto nd = static_cast<std::uint32_t>(entry->units.size());
-  // Local slab, NOT the thread_local scratch/arena (the inline-fold
-  // caller is mid-absorb and may hold both): np parity pre-images,
-  // then nd dirty-unit media pre-images (compensation needs them).
-  std::vector<std::uint8_t> slab(
-      (static_cast<std::size_t>(np) + nd) * unit_bytes_);
+  // ONE gather of every pre-image the fold overwrites -- np parities,
+  // then nd dirty units -- all copied (the compensation needs them),
+  // into a local slab, NOT the thread_local scratch/arena (the inline-
+  // fold caller is mid-absorb).  Verified BEFORE folding -- rot would
+  // otherwise be laundered into the new parity.  The entry survives a
+  // mismatch: the caller heals (which restores the original code word,
+  // keeping the accumulated deltas applicable) and retries.
+  std::vector<Physical> homes(static_cast<std::size_t>(np) + nd);
+  for (std::uint32_t j = 0; j < np; ++j) homes[j] = entry->parity_home[j];
+  for (std::uint32_t i = 0; i < nd; ++i) homes[np + i] = entry->units[i].home;
+  std::vector<std::uint8_t> slab(homes.size() * unit_bytes_);
+  std::vector<std::span<const std::uint8_t>> loaded(homes.size());
+  if (Status got =
+          gather(IoClass::kForegroundWrite, homes, 0, slab, loaded, true);
+      !got.ok())
+    return in_context(std::move(got), "parity-delta fold");
   const auto slice = [&](std::size_t i) {
     return std::span<std::uint8_t>(slab).subspan(i * unit_bytes_,
                                                  unit_bytes_);
   };
-  if (!views_.empty()) {
-    for (std::uint32_t j = 0; j < np; ++j)
-      std::memcpy(slice(j).data(), unit_view(entry->parity_home[j]).data(),
-                  unit_bytes_);
-    for (std::uint32_t i = 0; i < nd; ++i)
-      std::memcpy(slice(np + i).data(),
-                  unit_view(entry->units[i].home).data(), unit_bytes_);
-  } else {
-    std::vector<IoRequest> loads;
-    loads.reserve(static_cast<std::size_t>(np) + nd);
-    for (std::uint32_t j = 0; j < np; ++j)
-      loads.push_back(IoRequest::read_of(
-          IoClass::kForegroundWrite, entry->parity_home[j].disk,
-          byte_offset(entry->parity_home[j].offset), slice(j)));
-    for (std::uint32_t i = 0; i < nd; ++i)
-      loads.push_back(IoRequest::read_of(
-          IoClass::kForegroundWrite, entry->units[i].home.disk,
-          byte_offset(entry->units[i].home.offset), slice(np + i)));
-    if (Status loaded = backend_->execute_batch(loads); !loaded.ok())
-      return loaded;
-  }
-  if (integrity_) {
-    // Verify every pre-image BEFORE folding -- rot would otherwise be
-    // laundered into the new parity.  The entry survives the failure:
-    // the caller heals (which restores the original code word, keeping
-    // the accumulated deltas applicable) and retries.
-    for (std::uint32_t j = 0; j < np; ++j)
-      if (!verify_unit_crc(entry->parity_home[j], slice(j)))
-        return Status::checksum_mismatch(
-            "parity-delta fold: an old parity unit failed CRC32C "
-            "verification");
-    for (std::uint32_t i = 0; i < nd; ++i)
-      if (!verify_unit_crc(entry->units[i].home, slice(np + i)))
-        return Status::checksum_mismatch(
-            "parity-delta fold: a dirty unit's media pre-image failed "
-            "CRC32C verification");
-  }
 
   // parity_new = parity_old ^ accumulated delta.  Linearity over the
   // codec's field makes this byte-identical to folding every absorbed
@@ -1570,72 +1317,50 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
 
   // The folded bytes are landed state: staged rebuild chunks replan.
   sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  if (!views_.empty()) {
+  // ONE journaled scatter: every dirty data unit, every folded parity,
+  // and their checksums.  A crash mid-fold replays the whole record --
+  // the consistent post-image -- on reopen.
+  std::vector<IoRequest> stores(static_cast<std::size_t>(nd) + np);
+  for (std::uint32_t i = 0; i < nd; ++i)
+    stores[i] = IoRequest::write_of(
+        IoClass::kForegroundWrite, entry->units[i].home.disk,
+        byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
+  for (std::uint32_t j = 0; j < np; ++j)
+    stores[nd + j] = IoRequest::write_of(
+        IoClass::kForegroundWrite, entry->parity_home[j].disk,
+        byte_offset(entry->parity_home[j].offset), slice(j));
+  if (Status stored = scatter(stores, true); !stored.ok()) {
+    // Roll every LANDED write back to its pre-image so the stripe
+    // returns to the consistent pre-fold code word; the entry is KEPT
+    // (its deltas are still valid against that image) and a later
+    // flush retries.  Only a failed compensation tears.
+    Status compensation;
     for (std::uint32_t i = 0; i < nd; ++i) {
-      const StripeCache::DirtyUnit& u = entry->units[i];
-      std::memcpy(unit_view(u.home).data(), u.bytes.data(), unit_bytes_);
-      if (Status crc = set_fresh_crc(u.home, u.bytes); !crc.ok()) return crc;
+      if (!stores[i].status.ok()) continue;
+      if (Status undone = store_unit(entry->units[i].home, slice(np + i));
+          !undone.ok() && compensation.ok())
+        compensation = undone;
     }
     for (std::uint32_t j = 0; j < np; ++j) {
-      std::memcpy(unit_view(entry->parity_home[j]).data(), slice(j).data(),
-                  unit_bytes_);
-      if (Status crc = set_fresh_crc(entry->parity_home[j], slice(j));
-          !crc.ok())
-        return crc;
+      if (!stores[nd + j].status.ok()) continue;
+      core::xor_into(slice(j), entry->delta[j]);  // involution: pre-image
+      if (Status undone = store_unit(entry->parity_home[j], slice(j));
+          !undone.ok() && compensation.ok())
+        compensation = undone;
     }
-  } else {
-    // ONE journaled batch: every dirty data unit, every folded parity,
-    // and their checksums.  A crash mid-fold replays the whole record
-    // -- the consistent post-image -- on reopen.
-    std::vector<IoRequest> stores(2 * (static_cast<std::size_t>(np) + nd));
-    std::vector<std::array<std::uint8_t, 4>> crc_staging(
-        static_cast<std::size_t>(np) + nd);
-    for (std::uint32_t i = 0; i < nd; ++i)
-      stores[i] = IoRequest::write_of(
-          IoClass::kForegroundWrite, entry->units[i].home.disk,
-          byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
-    for (std::uint32_t j = 0; j < np; ++j)
-      stores[nd + j] = IoRequest::write_of(
-          IoClass::kForegroundWrite, entry->parity_home[j].disk,
-          byte_offset(entry->parity_home[j].offset), slice(j));
-    const std::uint32_t total =
-        stage_crc_writes(stores, nd + np, crc_staging);
-    if (Status stored = execute_batch_journaled({stores.data(), total});
-        !stored.ok()) {
-      // Roll every LANDED write back to its pre-image so the stripe
-      // returns to the consistent pre-fold code word; the entry is
-      // KEPT (its deltas are still valid against that image) and a
-      // later flush retries.  Only a failed compensation tears.
-      Status compensation;
-      for (std::uint32_t i = 0; i < nd; ++i) {
-        if (!stores[i].status.ok()) continue;
-        if (Status undone = store_unit(entry->units[i].home, slice(np + i));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      for (std::uint32_t j = 0; j < np; ++j) {
-        if (!stores[nd + j].status.ok()) continue;
-        core::xor_into(slice(j), entry->delta[j]);  // involution: pre-image
-        if (Status undone = store_unit(entry->parity_home[j], slice(j));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      if (compensation.ok() && integrity_) {
-        for (std::uint32_t i = 0; i < nd; ++i)
-          (void)crc_persist(entry->units[i].home);
-        for (std::uint32_t j = 0; j < np; ++j)
-          (void)crc_persist(entry->parity_home[j]);
-      }
-      if (!compensation.ok()) {
-        mark_torn(instance);
-        return Status::parity_inconsistent(
-            "parity-delta fold compensation failed after a partial batch "
-            "(" +
-            compensation.message() + "); stripe instance marked parity-torn");
-      }
-      return stored;
+    if (compensation.ok() && integrity_) {
+      for (std::uint32_t i = 0; i < nd; ++i)
+        (void)crc_persist(entry->units[i].home);
+      for (std::uint32_t j = 0; j < np; ++j)
+        (void)crc_persist(entry->parity_home[j]);
     }
-    commit_staged_crcs({stores.data(), nd + np}, crc_staging);
+    if (!compensation.ok()) {
+      mark_torn(instance);
+      return Status::parity_inconsistent(
+          "parity-delta fold compensation failed after a partial batch (" +
+          compensation.message() + "); stripe instance marked parity-torn");
+    }
+    return stored;
   }
   cache_->count_fold(nd);
   cache_->dirty_erase(instance);
@@ -1668,7 +1393,8 @@ Status StripeStore::fold_reencode_locked(std::uint64_t instance,
   const std::uint32_t kd = width - m;
   const auto nd = static_cast<std::uint32_t>(entry->units.size());
 
-  // Slab: width media pre-images (compensation), then m new parities.
+  // Slab: width media pre-images (copied -- the compensation restores
+  // them), then m new parities.
   std::vector<std::uint8_t> slab(
       (static_cast<std::size_t>(width) + m) * unit_bytes_);
   const auto slice = [&](std::size_t i) {
@@ -1678,24 +1404,17 @@ Status StripeStore::fold_reencode_locked(std::uint64_t instance,
   std::array<Physical, 64> homes;
   for (std::uint32_t u = 0; u < width; ++u)
     homes[u] = Physical{units[u].unit.disk, units[u].unit.offset + lift};
-  if (!views_.empty()) {
-    for (std::uint32_t u = 0; u < width; ++u)
-      std::memcpy(slice(u).data(), unit_view(homes[u]).data(), unit_bytes_);
-  } else {
-    std::vector<IoRequest> loads;
-    loads.reserve(width);
-    for (std::uint32_t u = 0; u < width; ++u)
-      loads.push_back(IoRequest::read_of(IoClass::kForegroundWrite,
-                                         homes[u].disk,
-                                         byte_offset(homes[u].offset),
-                                         slice(u)));
-    if (Status loaded = backend_->execute_batch(loads); !loaded.ok())
-      return loaded;
-  }
+  std::array<std::span<const std::uint8_t>, 64> loaded;
+  if (Status got = gather(
+          IoClass::kForegroundWrite, {homes.data(), width}, 0,
+          std::span<std::uint8_t>(slab).first(width * unit_bytes_),
+          {loaded.data(), width}, false);
+      !got.ok())
+    return got;
 
   // Data set = media bytes with every pinned dirty write overlaid.
   std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::uint32_t u = 0; u < kd; ++u) data_spans[u] = slice(u);
+  for (std::uint32_t u = 0; u < kd; ++u) data_spans[u] = loaded[u];
   for (const StripeCache::DirtyUnit& u : entry->units)
     data_spans[u.data_index] = u.bytes;
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
@@ -1704,62 +1423,43 @@ Status StripeStore::fold_reencode_locked(std::uint64_t instance,
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
   sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  if (!views_.empty()) {
-    for (const StripeCache::DirtyUnit& u : entry->units) {
-      std::memcpy(unit_view(u.home).data(), u.bytes.data(), unit_bytes_);
-      if (Status crc = set_fresh_crc(u.home, u.bytes); !crc.ok()) return crc;
+  std::vector<IoRequest> stores(static_cast<std::size_t>(nd) + m);
+  for (std::uint32_t i = 0; i < nd; ++i)
+    stores[i] = IoRequest::write_of(
+        IoClass::kForegroundWrite, entry->units[i].home.disk,
+        byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
+  for (std::uint32_t j = 0; j < m; ++j)
+    stores[nd + j] = IoRequest::write_of(IoClass::kForegroundWrite,
+                                         homes[kd + j].disk,
+                                         byte_offset(homes[kd + j].offset),
+                                         parity_out[j]);
+  if (Status stored = scatter(stores, true); !stored.ok()) {
+    // Restore every landed write from its media pre-image: the
+    // instance returns to its pre-fold (still torn) state and the
+    // entry is kept for a later retry.
+    Status compensation;
+    for (std::uint32_t i = 0; i < nd; ++i) {
+      if (!stores[i].status.ok()) continue;
+      if (Status undone = store_unit(entry->units[i].home,
+                                     slice(entry->units[i].data_index));
+          !undone.ok() && compensation.ok())
+        compensation = undone;
     }
     for (std::uint32_t j = 0; j < m; ++j) {
-      std::memcpy(unit_view(homes[kd + j]).data(), parity_out[j].data(),
-                  unit_bytes_);
-      if (Status crc = set_fresh_crc(homes[kd + j], parity_out[j]);
-          !crc.ok())
-        return crc;
+      if (!stores[nd + j].status.ok()) continue;
+      if (Status undone = store_unit(homes[kd + j], slice(kd + j));
+          !undone.ok() && compensation.ok())
+        compensation = undone;
     }
-  } else {
-    std::vector<IoRequest> stores(2 * (static_cast<std::size_t>(nd) + m));
-    std::vector<std::array<std::uint8_t, 4>> crc_staging(
-        static_cast<std::size_t>(nd) + m);
-    for (std::uint32_t i = 0; i < nd; ++i)
-      stores[i] = IoRequest::write_of(
-          IoClass::kForegroundWrite, entry->units[i].home.disk,
-          byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
-    for (std::uint32_t j = 0; j < m; ++j)
-      stores[nd + j] = IoRequest::write_of(IoClass::kForegroundWrite,
-                                           homes[kd + j].disk,
-                                           byte_offset(homes[kd + j].offset),
-                                           parity_out[j]);
-    const std::uint32_t total = stage_crc_writes(stores, nd + m, crc_staging);
-    if (Status stored = execute_batch_journaled({stores.data(), total});
-        !stored.ok()) {
-      // Restore every landed write from its media pre-image: the
-      // instance returns to its pre-fold (still torn) state and the
-      // entry is kept for a later retry.
-      Status compensation;
-      for (std::uint32_t i = 0; i < nd; ++i) {
-        if (!stores[i].status.ok()) continue;
-        if (Status undone = store_unit(entry->units[i].home,
-                                       slice(entry->units[i].data_index));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      for (std::uint32_t j = 0; j < m; ++j) {
-        if (!stores[nd + j].status.ok()) continue;
-        if (Status undone = store_unit(homes[kd + j], slice(kd + j));
-            !undone.ok() && compensation.ok())
-          compensation = undone;
-      }
-      if (compensation.ok() && integrity_) {
-        for (std::uint32_t i = 0; i < nd; ++i)
-          (void)crc_persist(entry->units[i].home);
-        for (std::uint32_t j = 0; j < m; ++j)
-          (void)crc_persist(homes[kd + j]);
-      }
-      // The instance was torn coming in and stays torn; a failed
-      // compensation changes nothing about that.
-      return stored;
+    if (compensation.ok() && integrity_) {
+      for (std::uint32_t i = 0; i < nd; ++i)
+        (void)crc_persist(entry->units[i].home);
+      for (std::uint32_t j = 0; j < m; ++j)
+        (void)crc_persist(homes[kd + j]);
     }
-    commit_staged_crcs({stores.data(), nd + m}, crc_staging);
+    // The instance was torn coming in and stays torn; a failed
+    // compensation changes nothing about that.
+    return stored;
   }
   clear_torn(instance);
   cache_->count_fold(nd);
@@ -1855,15 +1555,23 @@ Status StripeStore::reset_disk_crcs(DiskId disk) {
   // the poison fill would read as garbage claims.
   if (!integrity_) return OkStatus();
   std::fill(crc_[disk].begin(), crc_[disk].end(), 0u);
-  if (!views_.empty()) {
-    std::memset(views_[disk].data() + crc_base_, 0, crc_[disk].size() * 4);
-    return OkStatus();
-  }
   const std::vector<std::uint8_t> zeros(crc_[disk].size() * 4, 0);
   return backend_->write(disk, crc_base_, zeros);
 }
 
 Status StripeStore::apply_step_bytes(const api::RebuildStep& step) {
+  // Stage then commit, back to back: the caller holds the exclusive
+  // lock.  The buffers are reused across the steps of a rebuild.
+  thread_local std::vector<std::uint8_t> rebuilt;
+  thread_local std::vector<IoRequest> writes;
+  if (Status staged = stage_step(step, rebuilt, writes); !staged.ok())
+    return staged;
+  return commit_step(step, writes);
+}
+
+Status StripeStore::stage_step(const api::RebuildStep& step,
+                               std::vector<std::uint8_t>& rebuilt,
+                               std::vector<IoRequest>& writes) {
   // A step that decodes DATA through parity must refuse torn instances:
   // their parity no longer encodes the on-disk data, so the decode would
   // materialize garbage as if it were the lost unit.  (A step that only
@@ -1877,129 +1585,55 @@ Status StripeStore::apply_step_bytes(const api::RebuildStep& step) {
             "rebuild step for stripe " + std::to_string(step.stripe) +
             " would decode data through a parity-torn instance");
 
-  // Bytes first, every iteration of the stripe (the step reports
-  // iteration-0 offsets), then the array's state transition.
-  const std::uint32_t n = static_cast<std::uint32_t>(step.reads.size());
-  if (!views_.empty()) {
-    // This commit changes survivor bytes other rebuilders may have
-    // staged: bump the epoch so their commits replan instead of landing
-    // stale bytes (the caller holds the exclusive state lock).
-    sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-    const std::span<const std::uint32_t> erased{step.erased_index.data(),
-                                                step.num_erased};
-    for (std::uint32_t it = 0; it < iterations_; ++it) {
-      const std::uint64_t lift =
-          static_cast<std::uint64_t>(it) * array_.units_per_disk();
-      const Physical target{step.target.disk, step.target.offset + lift};
-      std::array<std::span<const std::uint8_t>, 64> srcs;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Physical src{step.reads[i].disk, step.reads[i].offset + lift};
-        srcs[i] = unit_view(src);
-        if (!verify_unit_crc(src, srcs[i]))
-          return Status::checksum_mismatch(
-              "rebuild of stripe " + std::to_string(step.stripe) +
-              ": a survivor unit failed CRC32C verification");
-      }
-      decode_unit(array_.codec(), step.num_data, {srcs.data(), n},
-                  step.read_indices, erased, unit_view(target));
-      if (Status crc = set_fresh_crc(target, unit_view(target)); !crc.ok())
-        return crc;
-    }
-    return array_.apply_rebuild_step(step);
-  }
-
-  // Streamed: stage (survivor fan-in + XOR) then commit (target writes
-  // + state transition), back to back -- the caller already holds the
-  // exclusive lock.
-  std::vector<std::uint8_t> slab;
-  std::vector<IoRequest> writes;
-  if (Status staged = stage_step_streamed(step, slab, writes); !staged.ok())
-    return staged;
-  return commit_step_streamed(step, writes);
-}
-
-Status StripeStore::stage_step_streamed(const api::RebuildStep& step,
-                                        std::vector<std::uint8_t>& buffer,
-                                        std::vector<IoRequest>& writes) {
   // The step's ENTIRE survivor fan-in -- every survivor of every
-  // iteration -- goes out as one kRebuild-tagged submission (so a
-  // rebuild-deprioritizing scheduler can hold it behind foreground
-  // I/O), then one XOR pass per iteration leaves the rebuilt units at
-  // the tail of `buffer`, which the caller keeps alive through the
-  // commit (several steps may be staged before any of them commits).
-  if (step_decodes_data(step))
-    for (std::uint32_t it = 0; it < iterations_; ++it)
-      if (is_torn(step.stripe +
-                  static_cast<std::uint64_t>(it) * array_.num_stripes()))
-        return Status::parity_inconsistent(
-            "rebuild step for stripe " + std::to_string(step.stripe) +
-            " would decode data through a parity-torn instance");
+  // iteration (the step reports iteration-0 offsets) -- is ONE
+  // kRebuild-tagged gather (so a rebuild-deprioritizing scheduler can
+  // hold it behind foreground I/O; aliased when the backend allows),
+  // then one decode pass per iteration leaves the rebuilt units in
+  // `rebuilt`, which the caller keeps alive through the commit (several
+  // steps may be staged before any of them commits).
   const std::uint32_t n = static_cast<std::uint32_t>(step.reads.size());
   const std::size_t total = static_cast<std::size_t>(n) * iterations_;
-  buffer.resize((total + iterations_) * unit_bytes_);
-  const std::span<std::uint8_t> slab{buffer.data(), buffer.size()};
-  std::vector<IoRequest> reads;
-  reads.reserve(total);
+  std::vector<Physical> sources(total);
   for (std::uint32_t it = 0; it < iterations_; ++it) {
     const std::uint64_t lift =
         static_cast<std::uint64_t>(it) * array_.units_per_disk();
     for (std::uint32_t i = 0; i < n; ++i)
-      reads.push_back(IoRequest::read_of(
-          IoClass::kRebuild, step.reads[i].disk,
-          byte_offset(step.reads[i].offset + lift),
-          slab.subspan((static_cast<std::size_t>(it) * n + i) * unit_bytes_,
-                       unit_bytes_)));
+      sources[static_cast<std::size_t>(it) * n + i] =
+          Physical{step.reads[i].disk, step.reads[i].offset + lift};
   }
-  if (Status fanned = backend_->execute_batch(reads); !fanned.ok())
-    return fanned;
-  if (integrity_)
-    for (std::uint32_t it = 0; it < iterations_; ++it) {
-      const std::uint64_t lift =
-          static_cast<std::uint64_t>(it) * array_.units_per_disk();
-      for (std::uint32_t i = 0; i < n; ++i) {
-        const Physical src{step.reads[i].disk, step.reads[i].offset + lift};
-        if (!verify_unit_crc(
-                src, reads[static_cast<std::size_t>(it) * n + i].read_buf))
-          return Status::checksum_mismatch(
-              "rebuild of stripe " + std::to_string(step.stripe) +
-              ": a survivor unit failed CRC32C verification");
-      }
-    }
+  std::vector<std::span<const std::uint8_t>> srcs(total);
+  if (Status got = gather(IoClass::kRebuild, sources, total,
+                          arena(total * unit_bytes_), srcs, true);
+      !got.ok())
+    return in_context(std::move(got),
+                      "rebuild of stripe " + std::to_string(step.stripe));
 
+  rebuilt.resize(static_cast<std::size_t>(iterations_) * unit_bytes_);
   writes.clear();
-  writes.reserve(iterations_);
   const std::span<const std::uint32_t> erased{step.erased_index.data(),
                                               step.num_erased};
   for (std::uint32_t it = 0; it < iterations_; ++it) {
     const std::uint64_t lift =
         static_cast<std::uint64_t>(it) * array_.units_per_disk();
-    const auto rebuilt =
-        slab.subspan((total + it) * unit_bytes_, unit_bytes_);
-    std::array<std::span<const std::uint8_t>, 64> srcs;
-    for (std::uint32_t i = 0; i < n; ++i)
-      srcs[i] = reads[static_cast<std::size_t>(it) * n + i].read_buf;
-    decode_unit(array_.codec(), step.num_data, {srcs.data(), n},
-                step.read_indices, erased, rebuilt);
+    const auto target = std::span<std::uint8_t>(rebuilt).subspan(
+        static_cast<std::size_t>(it) * unit_bytes_, unit_bytes_);
+    decode_unit(array_.codec(), step.num_data,
+                {srcs.data() + static_cast<std::size_t>(it) * n, n},
+                step.read_indices, erased, target);
     writes.push_back(IoRequest::write_of(IoClass::kRebuild, step.target.disk,
                                          byte_offset(step.target.offset + lift),
-                                         rebuilt));
+                                         target));
   }
   return OkStatus();
 }
 
-Status StripeStore::commit_step_streamed(const api::RebuildStep& step,
-                                         std::span<IoRequest> writes) {
-  if (Status stored = backend_->execute_batch(writes); !stored.ok())
-    return stored;
-  // Rebuilt targets get fresh checksums.  (Not journaled: a crash here
-  // leaves at most the target units checksum-stale, which the
+Status StripeStore::commit_step(const api::RebuildStep& step,
+                                std::span<IoRequest> writes) {
+  // Rebuilt targets land with fresh checksums.  (Not journaled: a crash
+  // here leaves at most the target units checksum-stale, which the
   // reopen-time heal reconstructs -- rebuild is re-runnable anyway.)
-  if (integrity_)
-    for (const IoRequest& w : writes) {
-      const Physical target{w.disk, w.offset / unit_bytes_};
-      if (Status crc = set_fresh_crc(target, w.write_buf); !crc.ok())
-        return crc;
-    }
+  if (Status stored = scatter(writes, false); !stored.ok()) return stored;
   // The landed target bytes are survivor bytes from any OTHER
   // rebuilder's perspective: bump the epoch so a concurrently staged
   // chunk replans instead of committing stale reads.  (Before this
@@ -2032,8 +1666,6 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
     // applied before re-planning -- the same plan-once-apply-all
     // discipline as api::Array::rebuild, so the store's target choices
     // (spare vs replacement slot) match a bare array's step for step.
-    // View-backed stores apply the batch right here: zero-copy XOR is
-    // pure memory bandwidth, there is no disk queue to compete in.
     std::vector<api::RebuildStep> steps;
     std::uint64_t epoch = 0;
     {
@@ -2043,6 +1675,9 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
       if (blocked) *blocked = plan->blocked;
       if (plan->steps.empty() || applied >= max_steps) return applied;
       if (!views_.empty()) {
+        // Reads alias the disk images: staging is pure memory bandwidth
+        // with no disk queue to compete in, so every step stages and
+        // commits right here, inside this one exclusive hold.
         for (const api::RebuildStep& step : plan->steps) {
           if (applied >= max_steps) break;
           if (Status done = apply_step_healing(step); !done.ok()) return done;
@@ -2125,8 +1760,7 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
         held.reserve(shards.size());
         for (std::shared_mutex* shard : shards) held.emplace_back(*shard);
         for (std::size_t j = 0; j < chunk; ++j)
-          if (Status staged = stage_step_streamed(steps[next + j], slabs[j],
-                                                  writes[j]);
+          if (Status staged = stage_step(steps[next + j], slabs[j], writes[j]);
               !staged.ok()) {
             if (staged.code() != StatusCode::kChecksumMismatch) return staged;
             staging_rot = std::move(staged);
@@ -2171,15 +1805,14 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
         break;
       }
       for (std::size_t j = 0; j < chunk; ++j) {
-        if (Status done = commit_step_streamed(steps[next + j], writes[j]);
-            !done.ok())
+        if (Status done = commit_step(steps[next + j], writes[j]); !done.ok())
           return done;
         ++applied;
       }
       // Re-snapshot: the commits above bumped the epoch (see
-      // commit_step_streamed), and this thread's own commits never
-      // invalidate its later staged chunks (staged reads exclude every
-      // lost target), so the next chunk must not replan on our account.
+      // commit_step), and this thread's own commits never invalidate
+      // its later staged chunks (staged reads exclude every lost
+      // target), so the next chunk must not replan on our account.
       epoch = sync_->write_epoch.load(std::memory_order_relaxed);
       next += chunk;
     }
@@ -2207,26 +1840,25 @@ Result<api::RebuildOutcome> StripeStore::rebuild() {
 Result<std::uint64_t> StripeStore::checksum_disk_locked(DiskId disk) const {
   // Data region only: the checksum region (under integrity) is derived
   // state, and two stores with identical content must checksum equal
-  // regardless of which units have been verified/adopted so far.
-  if (!views_.empty() && disk < views_.size())
-    return fnv1a(kFnvOffset,
-                 views_[disk].first(static_cast<std::size_t>(disk_bytes())));
-
-  // Stream the image through a bounded buffer.
-  constexpr std::uint64_t kChunk = 1u << 18;
-  std::vector<std::uint8_t> chunk(
-      static_cast<std::size_t>(std::min<std::uint64_t>(kChunk, disk_bytes())));
+  // regardless of which units have been verified/adopted so far.  The
+  // image is hashed in runs of whole units, each one gather: aliased in
+  // place when the backend allows, one batch through a bounded slab
+  // otherwise.
+  constexpr std::uint64_t kRun = 64;
+  const std::uint64_t units = disk_bytes() / unit_bytes_;
+  std::vector<std::uint8_t> slab(
+      static_cast<std::size_t>(std::min(kRun, units)) * unit_bytes_);
+  std::array<Physical, kRun> run;
+  std::array<std::span<const std::uint8_t>, kRun> bytes;
   std::uint64_t hash = kFnvOffset;
-  std::uint64_t offset = 0;
-  while (offset < disk_bytes()) {
-    const std::uint64_t n =
-        std::min<std::uint64_t>(chunk.size(), disk_bytes() - offset);
-    const std::span<std::uint8_t> window{chunk.data(),
-                                         static_cast<std::size_t>(n)};
-    if (Status read = backend_->read(disk, offset, window); !read.ok())
-      return read;
-    hash = fnv1a(hash, window);
-    offset += n;
+  for (std::uint64_t first = 0; first < units; first += kRun) {
+    const auto n = static_cast<std::size_t>(std::min(kRun, units - first));
+    for (std::size_t i = 0; i < n; ++i) run[i] = Physical{disk, first + i};
+    if (Status got = gather(IoClass::kForegroundRead, {run.data(), n}, n, slab,
+                            {bytes.data(), n}, false);
+        !got.ok())
+      return got;
+    for (std::size_t i = 0; i < n; ++i) hash = fnv1a(hash, bytes[i]);
   }
   return hash;
 }
@@ -2288,54 +1920,49 @@ Status StripeStore::heal_instance_locked(std::uint32_t stripe,
   const std::uint64_t lift =
       static_cast<std::uint64_t>(iteration) * array_.units_per_disk();
 
-  // Load every present unit: views in place, one kScrub batch else.
-  const auto slab = arena(static_cast<std::size_t>(width) * unit_bytes_);
-  std::array<std::span<const std::uint8_t>, 64> bytes{};
-  std::array<Physical, 64> homes;
-  std::array<bool, 64> present{};
-  std::array<IoRequest, 64> loads;
-  std::uint32_t num_loads = 0;
+  // Load every present unit in ONE kScrub gather, each checked against
+  // its checksum.  Aliasing is safe: the heal rewrites only bad units,
+  // from decoded bytes, and never reads a bad unit's bytes back.
+  std::array<Physical, 64> homes;       // present units, in stripe order
+  std::array<std::uint32_t, 64> slot;  // stripe position -> index in homes
+  std::uint32_t num_present = 0;
   for (std::uint32_t u = 0; u < width; ++u) {
     if (units[u].lost) continue;
-    present[u] = true;
-    homes[u] = Physical{units[u].unit.disk, units[u].unit.offset + lift};
-    if (!views_.empty()) {
-      bytes[u] = unit_view(homes[u]);
-    } else {
-      const auto slice =
-          slab.subspan(static_cast<std::size_t>(u) * unit_bytes_, unit_bytes_);
-      loads[num_loads++] = IoRequest::read_of(
-          IoClass::kScrub, homes[u].disk, byte_offset(homes[u].offset), slice);
-      bytes[u] = slice;
-    }
+    slot[u] = num_present;
+    homes[num_present++] =
+        Physical{units[u].unit.disk, units[u].unit.offset + lift};
   }
-  if (num_loads > 0)
-    if (Status fanned = backend_->execute_batch({loads.data(), num_loads});
-        !fanned.ok())
-      return fanned;
+  std::array<std::span<const std::uint8_t>, 64> bytes;
+  std::array<Status, 64> checks;
+  if (Status got = gather(
+          IoClass::kScrub, {homes.data(), num_present}, num_present,
+          arena(static_cast<std::size_t>(num_present) * unit_bytes_),
+          {bytes.data(), num_present}, true, {checks.data(), num_present});
+      !got.ok() && got.code() != StatusCode::kChecksumMismatch)
+    return got;
 
   // Classify: lost units are erased; present units whose stored
   // checksum disagrees with their bytes are erased too (detected rot).
+  // Unverified units (checksum 0) pass and are adopted below.
   std::array<std::uint32_t, 64> erased_idx;
   std::uint32_t num_erased = 0;
-  std::array<bool, 64> bad{};
+  std::array<bool, 64> bad{};  // by present index
   std::uint32_t num_bad = 0;
+  std::array<std::span<const std::uint8_t>, 64> survivors;
+  std::array<std::uint32_t, 64> survivor_idx;
+  std::uint32_t ns = 0;
   for (std::uint32_t u = 0; u < width; ++u) {
-    if (!present[u]) {
+    if (units[u].lost) {
       erased_idx[num_erased++] = u;
-      continue;
+    } else if (checks[slot[u]].ok()) {
+      survivors[ns] = bytes[slot[u]];
+      survivor_idx[ns++] = u;
+    } else {
+      if (report) ++report->mismatches;
+      bad[slot[u]] = true;
+      erased_idx[num_erased++] = u;
+      ++num_bad;
     }
-    const std::uint32_t stored = crc_[homes[u].disk][homes[u].offset];
-    if (stored == 0) continue;  // unverified: adopted below
-    if (core::crc32c_nonzero(bytes[u]) == stored) {
-      sync_->crc_verified.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    sync_->crc_mismatches.fetch_add(1, std::memory_order_relaxed);
-    if (report) ++report->mismatches;
-    bad[u] = true;
-    erased_idx[num_erased++] = u;
-    ++num_bad;
   }
 
   if (num_erased > m) {
@@ -2351,65 +1978,41 @@ Status StripeStore::heal_instance_locked(std::uint32_t stripe,
   if (num_bad > 0) {
     // Mismatch == erasure: reconstruct each bad unit from the good
     // survivors (lost units stay erased but unmaterialized) and
-    // rewrite it with a fresh checksum -- one journaled record on
-    // streamed backends, so a crash mid-heal replays whole.
-    std::array<std::span<const std::uint8_t>, 64> survivors;
-    std::array<std::uint32_t, 64> survivor_idx;
-    std::uint32_t ns = 0;
-    for (std::uint32_t u = 0; u < width; ++u)
-      if (present[u] && !bad[u]) {
-        survivors[ns] = bytes[u];
-        survivor_idx[ns++] = u;
-      }
+    // rewrite it with a fresh checksum -- one journaled scatter, so a
+    // crash mid-heal replays whole.
     const auto heal_slab =
         scratch(0, static_cast<std::size_t>(num_bad) * unit_bytes_);
     std::array<std::span<std::uint8_t>, api::kMaxParityUnits> outs{};
-    std::uint32_t buf = 0;
-    for (std::uint32_t e = 0; e < num_erased; ++e)
-      if (bad[erased_idx[e]])
-        outs[e] = heal_slab.subspan(
-            static_cast<std::size_t>(buf++) * unit_bytes_, unit_bytes_);
+    std::array<IoRequest, api::kMaxParityUnits> stores;
+    std::uint32_t num_stores = 0;
+    for (std::uint32_t e = 0; e < num_erased; ++e) {
+      const std::uint32_t u = erased_idx[e];
+      if (units[u].lost) continue;
+      const std::uint32_t i = slot[u];
+      outs[e] = heal_slab.subspan(
+          static_cast<std::size_t>(num_stores) * unit_bytes_, unit_bytes_);
+      stores[num_stores++] = IoRequest::write_of(
+          IoClass::kScrub, homes[i].disk, byte_offset(homes[i].offset),
+          outs[e]);
+    }
     codec.reconstruct(kd, {survivors.data(), ns}, {survivor_idx.data(), ns},
                       {erased_idx.data(), num_erased},
                       {outs.data(), num_erased});
     // The healed bytes are landed state: bump the epoch so any
     // concurrently staged rebuild chunk replans over them.
     sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-    if (!views_.empty()) {
-      for (std::uint32_t e = 0; e < num_erased; ++e) {
-        const std::uint32_t u = erased_idx[e];
-        if (!bad[u]) continue;
-        std::memcpy(unit_view(homes[u]).data(), outs[e].data(), unit_bytes_);
-        if (Status crc = set_fresh_crc(homes[u], outs[e]); !crc.ok())
-          return crc;
-      }
-    } else {
-      std::array<IoRequest, 2 * api::kMaxParityUnits> stores;
-      std::array<std::array<std::uint8_t, 4>, api::kMaxParityUnits> staging;
-      std::uint32_t num_stores = 0;
-      for (std::uint32_t e = 0; e < num_erased; ++e) {
-        const std::uint32_t u = erased_idx[e];
-        if (!bad[u]) continue;
-        stores[num_stores++] =
-            IoRequest::write_of(IoClass::kScrub, homes[u].disk,
-                                byte_offset(homes[u].offset), outs[e]);
-      }
-      const std::uint32_t total = stage_crc_writes(stores, num_stores, staging);
-      if (Status stored = execute_batch_journaled({stores.data(), total});
-          !stored.ok())
-        return stored;
-      commit_staged_crcs({stores.data(), num_stores}, staging);
-    }
+    if (Status stored = scatter({stores.data(), num_stores}, true);
+        !stored.ok())
+      return stored;
     sync_->crc_healed.fetch_add(num_bad, std::memory_order_relaxed);
     if (report) report->healed += num_bad;
   }
 
   // Adopt unverified good units: their current bytes become the claim,
   // so future reads of them are actually verified.
-  for (std::uint32_t u = 0; u < width; ++u) {
-    if (!present[u] || bad[u]) continue;
-    if (crc_[homes[u].disk][homes[u].offset] != 0) continue;
-    if (Status crc = set_fresh_crc(homes[u], bytes[u]); !crc.ok()) return crc;
+  for (std::uint32_t i = 0; i < num_present; ++i) {
+    if (bad[i] || crc_[homes[i].disk][homes[i].offset] != 0) continue;
+    if (Status crc = set_fresh_crc(homes[i], bytes[i]); !crc.ok()) return crc;
     sync_->crc_adopted.fetch_add(1, std::memory_order_relaxed);
   }
   return OkStatus();
@@ -2468,37 +2071,34 @@ Result<std::uint64_t> StripeStore::verify_stripes() {
     for (std::uint32_t it = 0; it < iterations_; ++it) {
       const std::uint64_t lift =
           static_cast<std::uint64_t>(it) * array_.units_per_disk();
+      // Slab: width stored units (aliased when the backend allows),
+      // then m re-encoded parities.
       const auto slab =
           arena(static_cast<std::size_t>(width + m) * unit_bytes_);
+      std::array<Physical, 64> homes;
+      for (std::uint32_t u = 0; u < width; ++u)
+        homes[u] = Physical{units[u].unit.disk, units[u].unit.offset + lift};
+      std::array<std::span<const std::uint8_t>, 64> stored;
+      if (Status got = gather(IoClass::kForegroundRead, {homes.data(), width},
+                              width, slab.first(width * unit_bytes_),
+                              {stored.data(), width}, false);
+          !got.ok())
+        return got;
       bool bad = is_torn(stripe +
                          static_cast<std::uint64_t>(it) * array_.num_stripes());
-      std::array<std::span<const std::uint8_t>, 64> data_spans{};
-      std::array<std::span<const std::uint8_t>, api::kMaxParityUnits> actual{};
-      Status io;
-      for (std::uint32_t u = 0; u < width && io.ok(); ++u) {
-        const Physical home{units[u].unit.disk, units[u].unit.offset + lift};
-        const auto buf = slab.subspan(
-            static_cast<std::size_t>(u) * unit_bytes_, unit_bytes_);
-        io = load_unit(home, buf);
-        if (!io.ok()) break;
-        if (integrity_) {
-          const std::uint32_t stored = crc_[home.disk][home.offset];
-          if (stored != 0 && core::crc32c_nonzero(buf) != stored) bad = true;
-        }
-        if (u < kd)
-          data_spans[u] = buf;
-        else
-          actual[u - kd] = buf;
+      for (std::uint32_t u = 0; u < width && integrity_; ++u) {
+        const std::uint32_t claim = crc_[homes[u].disk][homes[u].offset];
+        if (claim != 0 && core::crc32c_nonzero(stored[u]) != claim) bad = true;
       }
-      if (!io.ok()) return io;
       // Parity must re-encode byte-identically from the stored data.
       std::array<std::span<std::uint8_t>, api::kMaxParityUnits> expect{};
       for (std::uint32_t j = 0; j < m; ++j)
         expect[j] = slab.subspan(
             static_cast<std::size_t>(width + j) * unit_bytes_, unit_bytes_);
-      codec.encode({data_spans.data(), kd}, {expect.data(), m});
+      codec.encode({stored.data(), kd}, {expect.data(), m});
       for (std::uint32_t j = 0; j < m; ++j)
-        if (std::memcmp(expect[j].data(), actual[j].data(), unit_bytes_) != 0)
+        if (std::memcmp(expect[j].data(), stored[kd + j].data(),
+                        unit_bytes_) != 0)
           bad = true;
       if (bad) ++inconsistent;
     }

@@ -35,11 +35,17 @@
 /// the instance heals it: the store re-encodes every surviving parity
 /// from the full data set and clears the flag.
 ///
-/// Backends: when the backend exposes zero-copy memory views
-/// (MemoryBackend), the store serves straight out of the disk images with
-/// no copies or syscalls; otherwise (FileBackend, decorators) every unit
-/// moves through DiskBackend::read/write and substrate errors surface as
-/// typed kIoError Statuses from the store's own calls.  A store re-created
+/// Backends: every parity routine is "gather survivors -> codec ->
+/// scatter", written once over two private primitives.  gather() loads a
+/// set of units in one step: when the backend exposes memory_view
+/// (MemoryBackend) the returned bytes alias the disk images, otherwise
+/// one execute_batch fills a staging slab.  scatter() writes a set of
+/// units in one (journaled) batch with their checksum words.  The rule:
+/// reads alias, writes always go through DiskBackend (MemoryBackend
+/// included), and a unit the same operation overwrites is copied, never
+/// aliased -- it is the pre-image a failed write's compensation
+/// restores.  Substrate errors surface as typed kIoError Statuses from
+/// the store's own calls.  A store re-created
 /// over a persistent backend's existing image (file reopen) serves the
 /// bytes a previous process wrote -- parity was maintained write-by-write,
 /// so degraded reads and rebuilds work across restarts.
@@ -58,7 +64,7 @@
 /// scheme is deadlock-free.  The same sharding is what discharges the
 /// backend's "overlapping writes are externally serialized" demand.
 ///
-/// Online rebuild stages each streamed step's survivor fan-in under the
+/// Online rebuild stages each step's survivor fan-in under the
 /// SHARED state lock (plus the step's stripe shard locks, also shared),
 /// so foreground reads and writes keep submitting while rebuild reads
 /// sit in the same disk queues -- this is what makes an IoScheduler's
@@ -67,6 +73,9 @@
 /// write-epoch counter that no write / fail / replace landed since the
 /// batch was planned; an invalidated stage is re-run under the
 /// exclusive lock before re-planning, so progress is always guaranteed.
+/// When reads alias (memory_view), there is no disk queue to share:
+/// rebuild_some runs each step's stage and commit -- the same step code
+/// -- inside its one exclusive hold instead.
 ///
 /// Address space: logical units 0 .. num_logical_units()-1, each
 /// unit_bytes() wide; the layout tiles vertically `iterations` times, so
@@ -283,13 +292,15 @@ class StripeStore {
   /// from survivor bytes into their spare/replacement slots, then
   /// advances the array's rebuild state.  Returns the number of stripes
   /// repaired; 0 means nothing is currently rebuildable (`blocked`, when
-  /// given, receives the count still waiting on replace_disk).  On
-  /// streamed backends each step's survivor fan-in runs under the SHARED
-  /// state lock -- foreground reads and writes proceed concurrently with
-  /// rebuild I/O, competing in the backend's disk queues -- and only the
-  /// short commit (target writes + state transition) excludes them; see
-  /// the file comment for the validation protocol.  Drive it from a
-  /// rebuilder thread for online rebuild.
+  /// given, receives the count still waiting on replace_disk).  Each
+  /// step's survivor fan-in runs under the SHARED state lock --
+  /// foreground reads and writes proceed concurrently with rebuild I/O,
+  /// competing in the backend's disk queues -- and only the short commit
+  /// (target writes + state transition) excludes them; see the file
+  /// comment for the validation protocol.  When reads alias the disk
+  /// images (the backend exposes memory_view) stage and commit both run
+  /// inside one exclusive hold.  Drive it from a rebuilder thread for
+  /// online rebuild.
   [[nodiscard]] Result<std::uint64_t> rebuild_some(
       std::uint64_t max_steps, std::uint64_t* blocked = nullptr);
 
@@ -393,19 +404,34 @@ class StripeStore {
       const noexcept {
     return unit_offset * unit_bytes_;
   }
-  /// Zero-copy view of a unit, or empty when the backend has none.
-  [[nodiscard]] std::span<std::uint8_t> unit_view(Physical p) const noexcept {
-    if (views_.empty()) return {};
-    return views_[p.disk].subspan(
-        static_cast<std::size_t>(byte_offset(p.offset)), unit_bytes_);
-  }
-  /// Loads a unit's bytes into `out` (view memcpy or backend read).
-  [[nodiscard]] Status load_unit(Physical p, std::span<std::uint8_t> out);
-  /// acc ^= unit's bytes, staging through `scratch` when there is no
-  /// zero-copy view.  Both spans are unit_bytes() wide.
-  [[nodiscard]] Status xor_unit_into(Physical p, std::span<std::uint8_t> acc,
-                                     std::span<std::uint8_t> scratch);
-  /// Stores `data` as the unit's bytes (view memcpy or backend write).
+  /// Loads units[i]'s bytes into bytes[i].  With a memory_view backend
+  /// the first `num_alias` units alias the disk image and the rest are
+  /// copied into slab slice i; otherwise every unit is read into slab
+  /// slice i by ONE execute_batch of `io_class` reads (a lone foreground
+  /// read is the equivalent plain read()).  `slab` holds
+  /// units.size() unit-sized slices.  Only the pre-image of a unit this
+  /// operation overwrites must be copied (num_alias excludes it).  With
+  /// `verify`, each loaded unit is checked against its checksum and a
+  /// mismatch returns kChecksumMismatch naming the unit.  `statuses`,
+  /// when non-empty, receives every unit's own outcome (the batch keeps
+  /// going past a failed unit); the return value is then the first I/O
+  /// error, else the first mismatch.
+  [[nodiscard]] Status gather(IoClass io_class,
+                              std::span<const Physical> units,
+                              std::size_t num_alias,
+                              std::span<std::uint8_t> slab,
+                              std::span<std::span<const std::uint8_t>> bytes,
+                              bool verify,
+                              std::span<Status> statuses = {}) const;
+  /// Writes every unit-sized kWrite request of `writes` in ONE backend
+  /// batch -- through the write-ahead journal when `journal` and the
+  /// backend keeps one.  Under integrity each unit's fresh checksum word
+  /// rides in the same batch and enters the checksum cache only once
+  /// every request landed.  writes[i].status receives each request's
+  /// outcome, for the caller's compensation.
+  [[nodiscard]] Status scatter(std::span<IoRequest> writes, bool journal);
+  /// Rewrites one unit through the backend, unjournaled -- the
+  /// compensation paths' restore primitive.
   [[nodiscard]] Status store_unit(Physical p,
                                   std::span<const std::uint8_t> data);
   [[nodiscard]] std::shared_mutex& shard_for(std::uint64_t logical) noexcept;
@@ -457,21 +483,23 @@ class StripeStore {
                                   std::span<const std::uint8_t> data,
                                   std::uint64_t instance,
                                   WriteReceipt* receipt);
-  /// One rebuild step, bytes first (all iterations), then array state.
+  /// One rebuild step, bytes first (all iterations), then array state:
+  /// stage_step and commit_step back to back under the caller's
+  /// exclusive lock.
   [[nodiscard]] Status apply_step_bytes(const api::RebuildStep& step);
-  /// Streamed-step staging: survivor fan-in (one kRebuild-tagged batch)
-  /// plus the XOR folds, leaving the rebuilt units in `slab` (resized as
-  /// needed; must stay alive through the commit) and the target-write
-  /// requests in `writes`.  Caller holds the state lock (shared or
-  /// exclusive) and, when shared, the step's stripe shard locks.
-  [[nodiscard]] Status stage_step_streamed(const api::RebuildStep& step,
-                                           std::vector<std::uint8_t>& slab,
-                                           std::vector<IoRequest>& writes);
-  /// Streamed-step commit: issues the staged target writes and advances
-  /// the array's rebuild state.  Caller holds the exclusive state lock
-  /// and has validated the step (or never released the lock).
-  [[nodiscard]] Status commit_step_streamed(const api::RebuildStep& step,
-                                            std::span<IoRequest> writes);
+  /// Step staging: survivor fan-in (one kRebuild-tagged gather) plus the
+  /// decodes, leaving the rebuilt units in `rebuilt` (resized as needed;
+  /// must stay alive through the commit) and the target-write requests
+  /// in `writes`.  Caller holds the state lock (shared or exclusive)
+  /// and, when shared, the step's stripe shard locks.
+  [[nodiscard]] Status stage_step(const api::RebuildStep& step,
+                                  std::vector<std::uint8_t>& rebuilt,
+                                  std::vector<IoRequest>& writes);
+  /// Step commit: scatters the staged target writes and advances the
+  /// array's rebuild state.  Caller holds the exclusive state lock and
+  /// has validated the step (or never released the lock).
+  [[nodiscard]] Status commit_step(const api::RebuildStep& step,
+                                   std::span<IoRequest> writes);
   /// checksum_disk's body; caller holds the exclusive state lock.
   [[nodiscard]] Result<std::uint64_t> checksum_disk_locked(DiskId disk) const;
 
@@ -487,26 +515,14 @@ class StripeStore {
   /// outcome.  true when they match, the layer is off, or the stored
   /// checksum is 0 (unverified -- never written through this layer).
   [[nodiscard]] bool verify_unit_crc(Physical p,
-                                     std::span<const std::uint8_t> bytes);
-  /// Writes the unit's CACHED checksum to its media slot (view memcpy
-  /// or backend write) -- the compensation paths' restore primitive.
+                                     std::span<const std::uint8_t> bytes) const;
+  /// Writes the unit's CACHED checksum to its media slot through the
+  /// backend -- the compensation paths' restore primitive.
   [[nodiscard]] Status crc_persist(Physical p);
   /// Computes, caches, and persists a fresh checksum over `bytes`.
   /// No-op when the layer is off.
   [[nodiscard]] Status set_fresh_crc(Physical p,
                                      std::span<const std::uint8_t> bytes);
-  /// Appends one checksum-region write per unit-write in
-  /// requests[0..count) (staging the 4 bytes in `staging`, which must
-  /// outlive the batch) and returns the new total count.  The checksums
-  /// ride in the SAME batch -- and the same journal record -- as the
-  /// unit writes, so replay restores units and checksums together.
-  [[nodiscard]] std::uint32_t stage_crc_writes(
-      std::span<IoRequest> requests, std::uint32_t count,
-      std::span<std::array<std::uint8_t, 4>> staging);
-  /// Adopts the staged checksums into the cache after their batch
-  /// landed (units[i] is the i'th unit write, staging[i] its checksum).
-  void commit_staged_crcs(std::span<const IoRequest> units,
-                          std::span<const std::array<std::uint8_t, 4>> staging);
   /// execute_batch through the backend's write-ahead journal when it
   /// has one: the record is durable before the in-place writes start
   /// and retired after they finish, closing the crash-mid-RMW hole.
@@ -568,10 +584,10 @@ class StripeStore {
   std::uint32_t unit_bytes_ = 0;
   std::uint32_t iterations_ = 0;
   std::unique_ptr<DiskBackend> backend_;
-  /// Cached zero-copy views, one per disk, covering the FULL media
+  /// The backend's memory views, one per disk, covering the FULL media
   /// (data region plus, under integrity, the checksum region); empty
-  /// when the backend does not expose them (then every access goes
-  /// through read/write).
+  /// when the backend does not expose them.  Read only by gather() (to
+  /// alias) and rebuild_some (to pick its lock scope).
   std::vector<std::span<std::uint8_t>> views_;
   /// Whether the per-unit checksum layer is active (array integrity).
   bool integrity_ = false;
@@ -595,8 +611,7 @@ class StripeStore {
     /// shared (see the file comment's concurrency story).
     std::vector<std::shared_mutex> shards;
     /// Bumped by every byte-mutating operation -- write, fail, replace,
-    /// AND every rebuild commit (commit_step_streamed / the view-path
-    /// apply) -- so one rebuilder's committed step invalidates another
+    /// AND every rebuild commit (commit_step) -- so one rebuilder's committed step invalidates another
     /// rebuilder's concurrently staged chunk instead of surfacing as a
     /// spurious hard kFailedPrecondition at its commit.  Rebuild staging
     /// snapshots the epoch under the exclusive lock and re-checks at

@@ -129,8 +129,43 @@ Status fill_canonical(StripeStore& store, std::uint64_t first,
   return OkStatus();
 }
 
+namespace {
+
+/// The store as a driver target: units are its logical units.
+class StoreTarget final : public WorkloadTarget {
+ public:
+  explicit StoreTarget(StripeStore& store) : store_(store) {}
+  std::uint64_t num_units() const override {
+    return store_.num_logical_units();
+  }
+  std::uint32_t unit_bytes() const override { return store_.unit_bytes(); }
+  bool async() const override { return store_.backend().async(); }
+  Status read(std::uint64_t unit, std::span<std::uint8_t> out,
+              ReadReceipt* receipt) override {
+    return store_.read(unit, out, receipt);
+  }
+  Status write(std::uint64_t unit, std::span<const std::uint8_t> data,
+               WriteReceipt* receipt) override {
+    return store_.write(unit, data, receipt);
+  }
+  Status read_batch(std::span<const std::uint64_t> units,
+                    std::span<std::uint8_t> out, std::span<Status> statuses,
+                    std::span<ReadReceipt> receipts) override {
+    return store_.read_batch(units, out, statuses, receipts);
+  }
+
+ private:
+  StripeStore& store_;
+};
+
+}  // namespace
+
 WorkloadDriver::WorkloadDriver(StripeStore& store, WorkloadOptions options)
-    : store_(store), options_(options) {
+    : WorkloadDriver(std::make_unique<StoreTarget>(store), options) {}
+
+WorkloadDriver::WorkloadDriver(std::unique_ptr<WorkloadTarget> target,
+                               WorkloadOptions options)
+    : target_(std::move(target)), options_(options) {
   if (options_.num_threads == 0) options_.num_threads = 1;
   if (options_.queue_depth == 0) options_.queue_depth = 1;
   options_.read_fraction = std::clamp(options_.read_fraction, 0.0, 1.0);
@@ -138,8 +173,8 @@ WorkloadDriver::WorkloadDriver(StripeStore& store, WorkloadOptions options)
   if (options_.pattern == AccessPattern::kZipfian) {
     // YCSB ZipfianGenerator parameters; theta = 1 is a pole, so clamp.
     const double theta = std::clamp(options_.zipf_theta, 0.01, 0.99);
-    const auto n = static_cast<double>(store_.num_logical_units());
-    const double zetan = zipf_zetan(store_.num_logical_units(), theta);
+    const auto n = static_cast<double>(target_->num_units());
+    const double zetan = zipf_zetan(target_->num_units(), theta);
     zipf_zetan_ = zetan;
     zipf_zeta2_ = 1.0 + 1.0 / std::pow(2.0, theta);
     zipf_alpha_ = 1.0 / (1.0 - theta);
@@ -150,7 +185,7 @@ WorkloadDriver::WorkloadDriver(StripeStore& store, WorkloadOptions options)
 }
 
 std::uint64_t WorkloadDriver::zipf_sample(double u) const noexcept {
-  const std::uint64_t n = store_.num_logical_units();
+  const std::uint64_t n = target_->num_units();
   const double uz = u * zipf_zetan_;
   if (uz < 1.0) return 0;
   if (uz < 1.0 + std::pow(0.5, options_.zipf_theta)) return 1;
@@ -162,13 +197,13 @@ std::uint64_t WorkloadDriver::zipf_sample(double u) const noexcept {
 
 void WorkloadDriver::worker(std::uint32_t thread_index,
                             WorkloadStats& stats) const {
-  const std::uint64_t n = store_.num_logical_units();
-  const std::uint32_t unit_bytes = store_.unit_bytes();
-  // Against an async backend the batch's reads go out as one
-  // StripeStore::read_batch submission (queue_depth genuinely in
-  // flight); a synchronous backend would gain nothing, so reads are
-  // issued one by one exactly as before.
-  const bool batch_reads = store_.backend().async();
+  WorkloadTarget& target = *target_;
+  const std::uint64_t n = target.num_units();
+  const std::uint32_t unit_bytes = target.unit_bytes();
+  // Against an async target the batch's reads go out as one read_batch
+  // submission (queue_depth genuinely in flight); a synchronous one
+  // would gain nothing, so reads are issued one by one.
+  const bool batch_reads = target.async();
   std::mt19937_64 rng(options_.seed * 0x9E3779B97F4A7C15ull + thread_index);
   std::uniform_real_distribution<double> unit_dist(0.0, 1.0);
 
@@ -184,12 +219,14 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
   std::uint64_t cursor = (n / options_.num_threads) * thread_index;
 
   using clock = std::chrono::steady_clock;
+  // Saturates at the sample type's maximum: an op slower than ~71
+  // minutes records UINT32_MAX, never a wrapped small latency.
   const auto elapsed_us = [](clock::time_point since) {
     return static_cast<std::uint32_t>(std::min<std::int64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(clock::now() -
                                                               since)
             .count(),
-        std::numeric_limits<std::int64_t>::max()));
+        std::numeric_limits<std::uint32_t>::max()));
   };
   const auto tally_read = [&](std::uint64_t logical, const Status& status,
                               const ReadReceipt& receipt,
@@ -236,14 +273,14 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
     }
 
     // Writes first, one by one (each is already a batched parity
-    // transaction inside the store)...
+    // transaction inside the store or shard)...
     for (std::uint64_t i = 0; i < batch_size; ++i) {
       if (is_read[i]) continue;
       const std::uint64_t logical = batch[i];
       canonical_fill(logical, options_.seed, buffer);
       WriteReceipt receipt;
       const auto write_started = clock::now();
-      const Status status = store_.write(logical, buffer, &receipt);
+      const Status status = target.write(logical, buffer, &receipt);
       if (status.ok()) {
         ++stats.writes;
         stats.bytes_moved += unit_bytes;
@@ -269,13 +306,13 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
     }
 
     // ...then the batch's reads, as one deep submission when the
-    // backend is async.
+    // target is async.
     std::uint32_t num_reads = 0;
     for (std::uint64_t i = 0; i < batch_size; ++i)
       if (is_read[i]) read_addrs[num_reads++] = batch[i];
     if (batch_reads && num_reads > 0) {
       const auto started = clock::now();
-      (void)store_.read_batch(
+      (void)target.read_batch(
           {read_addrs.data(), num_reads},
           {read_bytes.data(),
            static_cast<std::size_t>(num_reads) * unit_bytes},
@@ -296,7 +333,7 @@ void WorkloadDriver::worker(std::uint32_t thread_index,
       for (std::uint32_t i = 0; i < num_reads; ++i) {
         ReadReceipt receipt;
         const auto started = clock::now();
-        const Status status = store_.read(read_addrs[i], buffer, &receipt);
+        const Status status = target.read(read_addrs[i], buffer, &receipt);
         tally_read(read_addrs[i], status, receipt, buffer,
                    elapsed_us(started));
       }

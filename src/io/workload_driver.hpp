@@ -14,11 +14,14 @@
 // usable both as a benchmark loop and as a stress-test oracle.
 //
 // The driver is storage-substrate-agnostic: it hammers whatever
-// DiskBackend the store was constructed over (zero-copy memory, file
-// images, a fault-injecting decorator), and backend kIoError statuses
-// are tallied under `errors` rather than aborting the run.
+// DiskBackend the store was constructed over (memory, file images, a
+// fault-injecting decorator), and backend kIoError statuses are tallied
+// under `errors` rather than aborting the run.  It is also front-door-
+// agnostic: the same loop drives any WorkloadTarget, so fleet::
+// WorkloadDriver is this driver pointed at a fleet::Fleet.
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -118,11 +121,38 @@ void canonical_fill(std::uint64_t logical, std::uint64_t seed,
 /// cache also pins determinism: every caller sees the identical value.
 [[nodiscard]] double zipf_zetan(std::uint64_t n, double theta);
 
+/// What a WorkloadDriver drives: units 0 .. num_units()-1 of
+/// unit_bytes() each, behind StripeStore-shaped read / write /
+/// read_batch calls.  A StripeStore is one; fleet/workload.hpp adapts a
+/// fleet::Fleet (fleet blocks as units).  Must be safe to call from many
+/// threads at once.
+class WorkloadTarget {
+ public:
+  virtual ~WorkloadTarget() = default;
+  [[nodiscard]] virtual std::uint64_t num_units() const = 0;
+  [[nodiscard]] virtual std::uint32_t unit_bytes() const = 0;
+  /// Whether submissions are asynchronous somewhere below, so issuing a
+  /// batch's reads as one read_batch buys real in-flight parallelism.
+  [[nodiscard]] virtual bool async() const = 0;
+  [[nodiscard]] virtual Status read(std::uint64_t unit,
+                                    std::span<std::uint8_t> out,
+                                    ReadReceipt* receipt) = 0;
+  [[nodiscard]] virtual Status write(std::uint64_t unit,
+                                     std::span<const std::uint8_t> data,
+                                     WriteReceipt* receipt) = 0;
+  [[nodiscard]] virtual Status read_batch(
+      std::span<const std::uint64_t> units, std::span<std::uint8_t> out,
+      std::span<Status> statuses, std::span<ReadReceipt> receipts) = 0;
+};
+
 class WorkloadDriver {
  public:
   /// The store must outlive the driver; run() may be called repeatedly
   /// (e.g. once per phase of a failure scenario).
   WorkloadDriver(StripeStore& store, WorkloadOptions options);
+  /// Drives any target (whatever it wraps must outlive the driver).
+  WorkloadDriver(std::unique_ptr<WorkloadTarget> target,
+                 WorkloadOptions options);
 
   /// Spawns num_threads workers, runs ops_per_thread ops on each, joins,
   /// and returns the merged stats (elapsed_seconds is wall time of the
@@ -130,7 +160,7 @@ class WorkloadDriver {
   [[nodiscard]] WorkloadStats run();
 
  private:
-  StripeStore& store_;
+  std::unique_ptr<WorkloadTarget> target_;
   WorkloadOptions options_;
   // Precomputed zipfian parameters (YCSB ZipfianGenerator shape).
   double zipf_zetan_ = 0;

@@ -19,9 +19,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -471,6 +473,242 @@ TEST(DatapathDifferential, RotDetectHealMatrixOverMemoryBackend) {
 
 TEST(DatapathDifferential, RotDetectHealMatrixOverFileBackend) {
   run_rot_matrix(BackendKind::kFile);
+}
+
+// ------------------------------------------------- memory-view aliasing
+
+/// A MemoryBackend behind a decorator that counts every unit read and
+/// write reaching the substrate.  `forward_view` decides whether the
+/// decorator passes memory_view through, so one store code path can be
+/// driven with reads aliasing the images or streaming through the
+/// backend.
+class CountingBackend final : public DiskBackend {
+ public:
+  explicit CountingBackend(bool forward_view)
+      : inner_(make_memory_backend()), forward_view_(forward_view) {}
+
+  Status open(const BackendGeometry& geometry) override {
+    return inner_->open(geometry);
+  }
+  Status read(DiskId disk, std::uint64_t offset,
+              std::span<std::uint8_t> out) override {
+    reads.fetch_add(1, std::memory_order_relaxed);
+    return inner_->read(disk, offset, out);
+  }
+  Status write(DiskId disk, std::uint64_t offset,
+               std::span<const std::uint8_t> data) override {
+    writes.fetch_add(1, std::memory_order_relaxed);
+    return inner_->write(disk, offset, data);
+  }
+  Status sync(DiskId disk) override { return inner_->sync(disk); }
+  Status discard(DiskId disk, std::uint8_t fill) override {
+    return inner_->discard(disk, fill);
+  }
+  std::string_view name() const noexcept override { return "counting"; }
+  std::span<std::uint8_t> memory_view(DiskId disk) noexcept override {
+    return forward_view_ ? inner_->memory_view(disk)
+                         : std::span<std::uint8_t>{};
+  }
+
+  std::atomic<std::uint64_t> reads{0};
+  std::atomic<std::uint64_t> writes{0};
+
+ private:
+  std::unique_ptr<DiskBackend> inner_;
+  bool forward_view_;
+};
+
+struct CountedStore {
+  std::unique_ptr<StripeStore> store;
+  CountingBackend* counts = nullptr;  ///< owned by the store
+};
+
+CountedStore make_counted_store(core::CodecKind codec, bool forward_view,
+                                bool integrity, bool cache) {
+  CountedStore s;
+  auto array = api::Array::create({kV, kK}, {},
+                                  {.codec = codec, .integrity = integrity});
+  EXPECT_TRUE(array.ok()) << array.status().to_string();
+  if (!array.ok()) return s;
+  auto backend = std::make_unique<CountingBackend>(forward_view);
+  s.counts = backend.get();
+  StripeStoreOptions options{.unit_bytes = kUnitBytes,
+                             .iterations = kIterations};
+  options.cache.enabled = cache;
+  auto store = StripeStore::create(std::move(array).value(), options,
+                                   std::move(backend));
+  EXPECT_TRUE(store.ok()) << store.status().to_string();
+  if (store.ok())
+    s.store = std::make_unique<StripeStore>(std::move(store).value());
+  return s;
+}
+
+// Over a backend that exposes memory_view, reads alias the disk images
+// (no backend read at all, healthy or degraded) while every write goes
+// through the backend: an RMW issues exactly one write for the data unit
+// and one per parity.
+TEST(DatapathDifferential, ViewBackendReadsAliasAndWritesGoThroughBackend) {
+  for (const core::CodecKind codec :
+       {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ}) {
+    const std::string context(core::codec_kind_name(codec));
+    CountedStore s = make_counted_store(codec, /*forward_view=*/true,
+                                        /*integrity=*/false, /*cache=*/false);
+    ASSERT_TRUE(s.store) << context;
+    StripeStore& store = *s.store;
+    ASSERT_TRUE(fill_canonical(store, 0, store.num_logical_units(), kSeed).ok())
+        << context;
+    const std::uint64_t parities = store.array().num_parity_units();
+
+    std::vector<std::uint8_t> unit(store.unit_bytes());
+    const auto read_all = [&](const std::string& phase) {
+      const std::uint64_t reads = s.counts->reads.load();
+      const std::uint64_t writes = s.counts->writes.load();
+      for (std::uint64_t logical = 0; logical < store.num_logical_units();
+           ++logical)
+        ASSERT_TRUE(store.read(logical, unit).ok())
+            << context << " " << phase << " logical " << logical;
+      EXPECT_EQ(s.counts->reads.load(), reads) << context << " " << phase;
+      EXPECT_EQ(s.counts->writes.load(), writes) << context << " " << phase;
+    };
+    read_all("healthy");
+
+    for (std::uint64_t logical = 0; logical < store.num_logical_units();
+         logical += 5) {
+      canonical_fill(logical, kSeed + 1, unit);
+      const std::uint64_t before = s.counts->writes.load();
+      WriteReceipt receipt;
+      ASSERT_TRUE(store.write(logical, unit, &receipt).ok()) << context;
+      ASSERT_EQ(receipt.kind, api::WritePlan::Kind::kReadModifyWrite)
+          << context;
+      EXPECT_EQ(s.counts->writes.load() - before, 1 + parities)
+          << context << " logical " << logical;
+    }
+    EXPECT_EQ(s.counts->reads.load(), 0u) << context;
+
+    ASSERT_TRUE(store.fail_disk(2).ok()) << context;
+    read_all("degraded");
+  }
+}
+
+/// One seeded fail / write / replace / rebuild / scrub sequence, recorded
+/// as every receipt and served byte plus the final disk checksums.
+struct SequenceRecord {
+  std::vector<std::uint64_t> sums;
+  std::vector<ReadReceipt> reads;
+  std::vector<WriteReceipt> writes;
+  std::vector<std::uint8_t> bytes;
+  std::uint64_t rebuilt = 0;
+};
+
+void expect_same_receipts(const SequenceRecord& a, const SequenceRecord& b,
+                          const std::string& context) {
+  ASSERT_EQ(a.reads.size(), b.reads.size()) << context;
+  for (std::size_t i = 0; i < a.reads.size(); ++i) {
+    EXPECT_EQ(a.reads[i].kind, b.reads[i].kind) << context << " read " << i;
+    EXPECT_TRUE(std::ranges::equal(a.reads[i].units(), b.reads[i].units()))
+        << context << " read " << i;
+  }
+  ASSERT_EQ(a.writes.size(), b.writes.size()) << context;
+  for (std::size_t i = 0; i < a.writes.size(); ++i) {
+    EXPECT_EQ(a.writes[i].kind, b.writes[i].kind) << context << " write " << i;
+    EXPECT_TRUE(std::ranges::equal(a.writes[i].read_units(),
+                                   b.writes[i].read_units()))
+        << context << " write " << i;
+    EXPECT_TRUE(std::ranges::equal(a.writes[i].written_units(),
+                                   b.writes[i].written_units()))
+        << context << " write " << i;
+  }
+}
+
+SequenceRecord run_sequence(core::CodecKind codec, bool forward_view,
+                            bool cache, const std::string& context) {
+  SequenceRecord record;
+  CountedStore s = make_counted_store(codec, forward_view,
+                                      /*integrity=*/true, cache);
+  EXPECT_TRUE(s.store) << context;
+  if (!s.store) return record;
+  StripeStore& store = *s.store;
+  EXPECT_TRUE(fill_canonical(store, 0, store.num_logical_units(), kSeed).ok())
+      << context;
+
+  std::mt19937_64 rng(kSeed);
+  std::vector<std::uint8_t> unit(store.unit_bytes());
+  const auto write_some = [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      const std::uint64_t logical = rng() % store.num_logical_units();
+      for (std::uint8_t& b : unit) b = static_cast<std::uint8_t>(rng());
+      WriteReceipt receipt;
+      EXPECT_TRUE(store.write(logical, unit, &receipt).ok())
+          << context << " logical " << logical;
+      record.writes.push_back(receipt);
+    }
+  };
+  const auto read_all = [&] {
+    for (std::uint64_t logical = 0; logical < store.num_logical_units();
+         ++logical) {
+      ReadReceipt receipt;
+      EXPECT_TRUE(store.read(logical, unit, &receipt).ok())
+          << context << " logical " << logical;
+      record.reads.push_back(receipt);
+      record.bytes.insert(record.bytes.end(), unit.begin(), unit.end());
+    }
+  };
+
+  // One failure under XOR, two under Reed-Solomon: reconstruct-writes,
+  // unprotected writes and (RS) a second-erasure decode all run.
+  std::vector<layout::DiskId> failed = {3};
+  if (store.array().num_parity_units() > 1) failed.push_back(11);
+  write_some(60);
+  for (const layout::DiskId disk : failed)
+    EXPECT_TRUE(store.fail_disk(disk).ok()) << context;
+  read_all();
+  write_some(60);
+  for (const layout::DiskId disk : failed)
+    EXPECT_TRUE(store.replace_disk(disk).ok()) << context;
+  const auto outcome = store.rebuild();
+  EXPECT_TRUE(outcome.ok()) << context;
+  if (outcome.ok()) record.rebuilt = outcome->applied;
+  const auto sweep = store.scrub();
+  EXPECT_TRUE(sweep.ok()) << context;
+  write_some(30);
+
+  std::vector<std::uint64_t> logicals(store.num_logical_units());
+  for (std::uint64_t i = 0; i < logicals.size(); ++i) logicals[i] = i;
+  std::vector<std::uint8_t> batch(logicals.size() * store.unit_bytes());
+  std::vector<Status> statuses(logicals.size());
+  std::vector<ReadReceipt> receipts(logicals.size());
+  EXPECT_TRUE(store.read_batch(logicals, batch, statuses, receipts).ok())
+      << context;
+  record.reads.insert(record.reads.end(), receipts.begin(), receipts.end());
+  record.bytes.insert(record.bytes.end(), batch.begin(), batch.end());
+
+  const auto sums = store.checksum_disks();
+  EXPECT_TRUE(sums.ok()) << context;
+  if (sums.ok()) record.sums = *sums;
+  return record;
+}
+
+// The same seeded sequence over a backend whose reads alias the images
+// and over the identical backend with memory_view hidden ends with
+// identical disks, receipts and served bytes.
+TEST(DatapathDifferential, AliasedAndStreamedStoresAgree) {
+  for (const core::CodecKind codec :
+       {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ}) {
+    for (const bool cache : {false, true}) {
+      const std::string context = std::string(core::codec_kind_name(codec)) +
+                                  (cache ? "/cache" : "/nocache");
+      const SequenceRecord aliased =
+          run_sequence(codec, /*forward_view=*/true, cache, context);
+      const SequenceRecord streamed =
+          run_sequence(codec, /*forward_view=*/false, cache, context);
+      ASSERT_FALSE(aliased.sums.empty()) << context;
+      EXPECT_EQ(aliased.sums, streamed.sums) << context;
+      EXPECT_EQ(aliased.rebuilt, streamed.rebuilt) << context;
+      EXPECT_GT(aliased.rebuilt, 0u) << context;
+      EXPECT_EQ(aliased.bytes, streamed.bytes) << context;
+      expect_same_receipts(aliased, streamed, context);
+    }
+  }
 }
 
 }  // namespace

@@ -7,17 +7,16 @@
 namespace pdl::core {
 namespace {
 
-// The selection policy under test lives in the engine's planner;
-// core::build_layout is now a deprecated shim over the same registry
-// (covered by test_engine's ShimDelegatesToRegistry).
-std::optional<BuiltLayout> build_layout(const ArraySpec& spec,
-                                        const BuildOptions& options = {}) {
+// Construction selection: the default planner's build_best picks the
+// route these cases pin (engine::Engine and api::Array build through it).
+std::optional<BuiltLayout> build_best(const ArraySpec& spec,
+                                      const BuildOptions& options = {}) {
   return engine::ConstructionPlanner::default_planner().build_best(spec,
                                                                    options);
 }
 
 TEST(BuildLayout, KEqualsVGivesRaid5) {
-  const auto built = build_layout({.num_disks = 8, .stripe_size = 8});
+  const auto built = build_best({.num_disks = 8, .stripe_size = 8});
   ASSERT_TRUE(built.has_value());
   EXPECT_EQ(built->construction, Construction::kRaid5);
   EXPECT_EQ(built->layout.num_disks(), 8u);
@@ -25,7 +24,7 @@ TEST(BuildLayout, KEqualsVGivesRaid5) {
 }
 
 TEST(BuildLayout, PrimePowerPrefersPerfectlyBalancedRoute) {
-  const auto built = build_layout({.num_disks = 17, .stripe_size = 5});
+  const auto built = build_best({.num_disks = 17, .stripe_size = 5});
   ASSERT_TRUE(built.has_value());
   // Ring layout (size 80, perfect balance) or an equally-perfect BIBD
   // route; either way the result must be perfectly balanced and small.
@@ -37,7 +36,7 @@ TEST(BuildLayout, PrimePowerPrefersPerfectlyBalancedRoute) {
 TEST(BuildLayout, AwkwardVFallsBackToApproximate) {
   // v = 100, k = 5: M(100) = 4 < 5, no exact BIBD in the catalog fits
   // gracefully; an approximate route must be chosen.
-  const auto built = build_layout({.num_disks = 100, .stripe_size = 5});
+  const auto built = build_best({.num_disks = 100, .stripe_size = 5});
   ASSERT_TRUE(built.has_value());
   EXPECT_TRUE(built->construction == Construction::kRemoval ||
               built->construction == Construction::kStairway ||
@@ -50,7 +49,7 @@ TEST(BuildLayout, AwkwardVFallsBackToApproximate) {
 }
 
 TEST(BuildLayout, RequirePerfectParityIsHonored) {
-  const auto built = build_layout(
+  const auto built = build_best(
       {.num_disks = 100, .stripe_size = 5},
       {.unit_budget = 100'000, .require_perfect_parity = true});
   if (built) {
@@ -61,15 +60,15 @@ TEST(BuildLayout, RequirePerfectParityIsHonored) {
 
 TEST(BuildLayout, BudgetIsRespected) {
   // A tiny budget leaves no options.
-  const auto built = build_layout({.num_disks = 100, .stripe_size = 5},
+  const auto built = build_best({.num_disks = 100, .stripe_size = 5},
                                   {.unit_budget = 10});
   EXPECT_FALSE(built.has_value());
 }
 
 TEST(BuildLayout, ApproximateCanBeDisabled) {
-  const auto with = build_layout({.num_disks = 100, .stripe_size = 5},
+  const auto with = build_best({.num_disks = 100, .stripe_size = 5},
                                  {.allow_approximate = true});
-  const auto without = build_layout({.num_disks = 100, .stripe_size = 5},
+  const auto without = build_best({.num_disks = 100, .stripe_size = 5},
                                     {.unit_budget = 600,
                                      .allow_approximate = false});
   ASSERT_TRUE(with.has_value());
@@ -79,7 +78,7 @@ TEST(BuildLayout, ApproximateCanBeDisabled) {
 }
 
 TEST(BuildLayout, MetricsAreMeasuredNotPredicted) {
-  const auto built = build_layout({.num_disks = 16, .stripe_size = 4});
+  const auto built = build_best({.num_disks = 16, .stripe_size = 4});
   ASSERT_TRUE(built.has_value());
   EXPECT_EQ(built->metrics.num_disks, 16u);
   EXPECT_EQ(built->metrics.units_per_disk,
@@ -88,11 +87,11 @@ TEST(BuildLayout, MetricsAreMeasuredNotPredicted) {
 }
 
 TEST(BuildLayout, InvalidSpecRejected) {
-  EXPECT_THROW(build_layout({.num_disks = 1, .stripe_size = 1}),
+  EXPECT_THROW(build_best({.num_disks = 1, .stripe_size = 1}),
                std::invalid_argument);
-  EXPECT_THROW(build_layout({.num_disks = 4, .stripe_size = 5}),
+  EXPECT_THROW(build_best({.num_disks = 4, .stripe_size = 5}),
                std::invalid_argument);
-  EXPECT_THROW(build_layout({.num_disks = 4, .stripe_size = 1}),
+  EXPECT_THROW(build_best({.num_disks = 4, .stripe_size = 1}),
                std::invalid_argument);
 }
 
@@ -106,7 +105,7 @@ TEST(BuildLayout, SweepManySpecsAllValid) {
   for (const std::uint32_t v : {6u, 9u, 13u, 16u, 21u, 33u, 50u}) {
     for (const std::uint32_t k : {3u, 4u, 5u}) {
       if (k > v) continue;
-      const auto built = build_layout({.num_disks = v, .stripe_size = k},
+      const auto built = build_best({.num_disks = v, .stripe_size = k},
                                       {.unit_budget = 100'000});
       ASSERT_TRUE(built.has_value()) << "v=" << v << " k=" << k;
       EXPECT_TRUE(built->layout.validate().empty())
