@@ -8,12 +8,38 @@ namespace pdl::core {
 
 namespace {
 
-/// Lanes per 64-byte block.  A block is loaded into eight std::uint64_t
-/// via memcpy (no alignment requirement, no aliasing UB), XORed lane-wise
-/// -- a shape GCC and Clang turn into two AVX2 ops or four SSE2 ops --
-/// and stored back the same way.
-constexpr std::size_t kLanes = 8;
-constexpr std::size_t kBlock = kLanes * sizeof(std::uint64_t);  // 64 bytes
+/// One 16-byte vector register (GCC/Clang vector extension: SSE2 on
+/// x86-64, NEON on AArch64, plain words elsewhere).  Arrays of
+/// std::uint64_t lanes instead get spilled to the stack and reloaded on
+/// every block at -O3 without -march, which more than doubled the cost
+/// of a 4 KiB XOR.
+using Lane = std::uint64_t __attribute__((vector_size(16)));
+
+/// Lanes per 64-byte block.  A block is loaded into four vector lanes
+/// via memcpy (no alignment requirement, no aliasing UB), XORed
+/// lane-wise in registers and stored back the same way.
+constexpr std::size_t kLanes = 4;
+constexpr std::size_t kBlock = kLanes * sizeof(Lane);  // 64 bytes
+
+struct Block {
+  Lane lane[kLanes];
+};
+
+inline Block load(const std::uint8_t* p) {
+  Block b;
+  for (std::size_t l = 0; l < kLanes; ++l)
+    std::memcpy(&b.lane[l], p + l * sizeof(Lane), sizeof(Lane));
+  return b;
+}
+
+inline void store(std::uint8_t* p, const Block& b) {
+  for (std::size_t l = 0; l < kLanes; ++l)
+    std::memcpy(p + l * sizeof(Lane), &b.lane[l], sizeof(Lane));
+}
+
+inline void fold(Block& acc, const Block& b) {
+  for (std::size_t l = 0; l < kLanes; ++l) acc.lane[l] ^= b.lane[l];
+}
 
 inline void check_same_size(std::size_t dst, std::size_t src,
                             const char* what) {
@@ -31,11 +57,9 @@ void xor_into(std::span<std::uint8_t> dst,
   const std::size_t n = dst.size();
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
-    std::uint64_t a[kLanes], b[kLanes];
-    std::memcpy(a, d + i, kBlock);
-    std::memcpy(b, s + i, kBlock);
-    for (std::size_t lane = 0; lane < kLanes; ++lane) a[lane] ^= b[lane];
-    std::memcpy(d + i, a, kBlock);
+    Block a = load(d + i);
+    fold(a, load(s + i));
+    store(d + i, a);
   }
   for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
     std::uint64_t a, b;
@@ -77,14 +101,10 @@ void xor_parity_into(std::span<std::uint8_t> dst,
   const std::size_t fan_in = units.size();
   std::size_t i = 0;
   for (; i + kBlock <= n; i += kBlock) {
-    std::uint64_t acc[kLanes];
-    std::memcpy(acc, units[0].data() + i, kBlock);
-    for (std::size_t u = 1; u < fan_in; ++u) {
-      std::uint64_t b[kLanes];
-      std::memcpy(b, units[u].data() + i, kBlock);
-      for (std::size_t lane = 0; lane < kLanes; ++lane) acc[lane] ^= b[lane];
-    }
-    std::memcpy(d + i, acc, kBlock);
+    Block acc = load(units[0].data() + i);
+    for (std::size_t u = 1; u < fan_in; ++u)
+      fold(acc, load(units[u].data() + i));
+    store(d + i, acc);
   }
   for (; i + sizeof(std::uint64_t) <= n; i += sizeof(std::uint64_t)) {
     std::uint64_t acc;

@@ -6,9 +6,9 @@
 /// unit counting.
 ///
 /// The span-based kernels are the data path's hot loop: they process
-/// 64-byte blocks word-at-a-time (eight `std::uint64_t` lanes loaded via
-/// `memcpy`, so alignment never matters) in a shape GCC/Clang
-/// auto-vectorize to SSE2/AVX2 at -O2/-O3.  `pdl::core::detail` keeps the
+/// 64-byte blocks as four 16-byte vector lanes (loaded via `memcpy`, so
+/// alignment never matters) held in registers -- SSE2 on x86-64 at
+/// -O2/-O3 with no -march.  `pdl::core::detail` keeps the
 /// scalar byte-loop reference implementations, and a randomized property
 /// test (`test_xor_codec_properties`) pins the vectorized paths equal to
 /// them on every size/alignment class; `bench_xor_codec` measures the

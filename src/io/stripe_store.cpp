@@ -73,6 +73,13 @@ void decode_unit(const core::Codec& codec, std::uint32_t num_data,
                     {outs.data(), erased_index.size()});
 }
 
+/// How many requests of a batch completed.
+[[nodiscard]] std::size_t num_landed(std::span<const IoRequest> writes) {
+  return static_cast<std::size_t>(
+      std::count_if(writes.begin(), writes.end(),
+                    [](const IoRequest& w) { return w.status.ok(); }));
+}
+
 /// Whether a rebuild step must TRUST parity bytes (it decodes at least
 /// one data unit) as opposed to merely re-encoding parity from data.
 [[nodiscard]] bool step_decodes_data(const api::RebuildStep& step) {
@@ -251,7 +258,8 @@ Status StripeStore::gather(IoClass io_class, std::span<const Physical> units,
   return io.ok() ? rot : io;
 }
 
-Status StripeStore::scatter(std::span<IoRequest> writes, bool journal) {
+Status StripeStore::scatter(std::span<IoRequest> writes, bool journal,
+                            bool* in_step) {
   const auto execute = [&](std::span<IoRequest> batch) {
     return journal ? execute_batch_journaled(batch)
                    : backend_->execute_batch(batch);
@@ -259,11 +267,12 @@ Status StripeStore::scatter(std::span<IoRequest> writes, bool journal) {
   if (!integrity_) return execute(writes);
   // The checksum words ride in the SAME batch -- and the same journal
   // record -- as the unit writes, so replay restores units and
-  // checksums together.  The cache adopts them only once every request
-  // landed; on failure it still holds the pre-write checksums the
-  // caller's compensation restores.
+  // checksums together.  The cache adopts the word of every unit write
+  // that landed, whatever became of the rest of the batch: it always
+  // describes the bytes on media.
   thread_local std::vector<IoRequest> batch;
   thread_local std::vector<std::array<std::uint8_t, 4>> words;
+  thread_local std::vector<IoRequest> resync;
   words.resize(writes.size());
   batch.assign(writes.begin(), writes.end());
   for (std::size_t i = 0; i < writes.size(); ++i) {
@@ -275,18 +284,63 @@ Status StripeStore::scatter(std::span<IoRequest> writes, bool journal) {
         words[i]));
   }
   const Status done = execute(batch);
-  for (std::size_t i = 0; i < writes.size(); ++i)
+  // A unit whose write and checksum word did not share one outcome
+  // leaves a word on media that disagrees with the unit's bytes -- a
+  // restart would read the unit as rot.  Write the cached word back
+  // (no journal record: each word stands alone).
+  resync.clear();
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    std::uint32_t& cached =
+        crc_[writes[i].disk][writes[i].offset / unit_bytes_];
     writes[i].status = batch[i].status;
-  if (!done.ok()) return done;
-  for (std::size_t i = 0; i < writes.size(); ++i)
-    std::memcpy(&crc_[writes[i].disk][writes[i].offset / unit_bytes_],
-                words[i].data(), 4);
-  return OkStatus();
+    if (writes[i].status.ok()) std::memcpy(&cached, words[i].data(), 4);
+    const IoRequest& word = batch[writes.size() + i];
+    if (writes[i].status.ok() == word.status.ok()) continue;
+    std::memcpy(words[i].data(), &cached, 4);
+    resync.push_back(IoRequest::write_of(word.io_class, word.disk,
+                                         word.offset, words[i]));
+  }
+  if (!resync.empty() && !backend_->execute_batch(resync).ok() && in_step)
+    *in_step = false;
+  return done;
 }
 
-Status StripeStore::store_unit(Physical p,
-                               std::span<const std::uint8_t> data) {
-  return backend_->write(p.disk, byte_offset(p.offset), data);
+template <class PreImage>
+StripeStore::Committed StripeStore::commit(std::uint64_t instance,
+                                           std::span<IoRequest> writes,
+                                           const PreImage& pre_image,
+                                           const char* what) {
+  bool in_step = true;
+  const Status stored = scatter(writes, true, &in_step);
+  if (stored.ok()) return {stored, true};
+  // Nothing landed: the pre-image stands.  Every unit landed (only
+  // checksum words failed): the post-image stands.  Otherwise put every
+  // landed unit back, through scatter, so each one's checksum word and
+  // cache entry return to the pre-image with it.  A caller retry is
+  // then safe.
+  const std::size_t landed = num_landed(writes);
+  if (landed != 0 && landed != writes.size()) {
+    std::vector<IoRequest> restore;
+    for (std::size_t i = 0; i < writes.size(); ++i)
+      if (writes[i].status.ok())
+        restore.push_back(IoRequest::write_of(writes[i].io_class,
+                                              writes[i].disk,
+                                              writes[i].offset, pre_image(i)));
+    (void)scatter(restore, true, &in_step);
+    if (num_landed(restore) != landed) in_step = false;
+  }
+  if (in_step) return {stored, landed == writes.size()};
+  // The restore ALSO failed (or a checksum word could not be put back):
+  // media no longer says what the stripe holds, and nothing in the
+  // stripe records it.  Record the tear so parity-trusting paths
+  // (degraded reads, rebuild decodes) refuse the instance until a heal
+  // re-encodes it.
+  mark_torn(instance);
+  return {Status::parity_inconsistent(
+              std::string(what) + " rollback failed after a failed stripe "
+              "write (" + stored.message() +
+              "); stripe instance marked parity-torn"),
+          false};
 }
 
 // ---------------------------------------------------- integrity internals
@@ -304,18 +358,13 @@ bool StripeStore::verify_unit_crc(Physical p,
   return false;
 }
 
-Status StripeStore::crc_persist(Physical p) {
-  if (!integrity_) return OkStatus();
-  std::array<std::uint8_t, 4> word;
-  std::memcpy(word.data(), &crc_[p.disk][p.offset], 4);
-  return backend_->write(p.disk, crc_media_offset(p.offset), word);
-}
-
 Status StripeStore::set_fresh_crc(Physical p,
                                   std::span<const std::uint8_t> bytes) {
   if (!integrity_) return OkStatus();
   crc_[p.disk][p.offset] = core::crc32c_nonzero(bytes);
-  return crc_persist(p);
+  std::array<std::uint8_t, 4> word;
+  std::memcpy(word.data(), &crc_[p.disk][p.offset], 4);
+  return backend_->write(p.disk, crc_media_offset(p.offset), word);
 }
 
 Status StripeStore::execute_batch_journaled(std::span<IoRequest> batch) {
@@ -327,12 +376,13 @@ Status StripeStore::execute_batch_journaled(std::span<IoRequest> batch) {
     // in-place write starts.
     if (token.status().code() == StatusCode::kUnsupported)
       return backend_->execute_batch(batch);
+    for (IoRequest& request : batch) request.status = token.status();
     return token.status();
   }
   const Status executed = backend_->execute_batch(batch);
   // Retire the record on EVERY exit: on success the writes are all
-  // in place; on partial failure the caller compensates back to the
-  // pre-write image -- either way the record must not replay over the
+  // in place; on partial failure commit() rolls back to the pre-write
+  // image -- either way the record must not replay over the
   // state this call reports.  A crash BETWEEN the in-place writes and
   // this retire replays the full record, which is exactly the
   // consistent post-image.
@@ -427,7 +477,7 @@ Status StripeStore::read_locked(std::uint64_t logical,
         return Status::parity_inconsistent(
             "logical " + std::to_string(logical) +
             " needs degraded reconstruction, but its stripe instance is "
-            "parity-torn (a prior write's compensation failed)");
+            "parity-torn (a prior write's rollback failed)");
       std::uint32_t heat = 0;
       if (cache_) {
         // The cache is keyed by LOGICAL address and holds logical
@@ -634,7 +684,7 @@ Status StripeStore::read_batch_once(std::span<const std::uint64_t> logicals,
           fail(i, Status::parity_inconsistent(
                       "logical " + std::to_string(logicals[i]) +
                       " needs degraded reconstruction, but its stripe "
-                      "instance is parity-torn (a prior write's compensation "
+                      "instance is parity-torn (a prior write's rollback "
                       "failed)"));
           break;
         }
@@ -753,26 +803,22 @@ Status StripeStore::write_locked(std::uint64_t logical,
   switch (plan->kind) {
     case api::WritePlan::Kind::kReadModifyWrite: {
       // A torn instance's parity cannot absorb a delta -- but all data
-      // units are intact here, so the write doubles as the heal: store
-      // the new data, re-encode every parity from scratch.
+      // units are intact here, so the write doubles as the heal: the
+      // whole stripe is re-encoded with the new bytes laid over it.
       if (is_torn(instance)) {
         if (cache_)
           if (StripeCache::DirtyEntry* entry = cache_->dirty_find(instance)) {
-            // Torn WITH absorbed writes pending: a plain write_heal
-            // would re-encode from stale media peers.  Pin this write
-            // into the entry and fold the whole instance as one
-            // re-encode (media data with the pinned bytes overlaid),
+            // Torn WITH absorbed writes pending: a re-encode of this
+            // write alone would read stale media peers.  Pin it into
+            // the entry and fold the whole instance as one re-encode,
             // which heals the parity AND lands every absorbed write.
-            if (StripeCache::DirtyUnit* unit = entry->find(logical)) {
-              unit->bytes.assign(data.begin(), data.end());
-            } else {
-              entry->units.push_back(
-                  {logical, plan->data, plan->data_index,
-                   std::vector<std::uint8_t>(data.begin(), data.end())});
-            }
-            return fold_reencode_locked(instance, entry);
+            entry->pin(logical, plan->data, plan->data_index, data);
+            return fold_instance_locked(instance);
           }
-        return write_heal(logical, *plan, data, instance, receipt);
+        const StripeCache::DirtyUnit incoming{
+            logical, plan->data, plan->data_index,
+            std::vector<std::uint8_t>(data.begin(), data.end())};
+        return fold_reencode_locked(instance, {&incoming, 1}, receipt);
       }
       if (cache_ && array_.healthy()) {
         bool handled = false;
@@ -780,83 +826,7 @@ Status StripeStore::write_locked(std::uint64_t logical,
                                      receipt, &handled);
         if (handled) return absorbed;
       }
-      // The legacy single-parity fold below is XOR-only; any array whose
-      // codec keeps more than one parity (even if only one SURVIVES --
-      // the surviving one may carry a non-unit coefficient) goes through
-      // the codec-aware path.
-      if (array_.num_parity_units() > 1)
-        return write_rmw_multi(*plan, data, instance, receipt);
-      // parity ^= old ^ new, then the data unit takes the new bytes.
-      // ONE gather loads both pre-images -- copied, never aliased: this
-      // write overwrites them and the compensation below restores them.
-      // Verified BEFORE the fold: rot in the old parity or old data
-      // would otherwise be laundered into the new parity.
-      const std::array<Physical, 2> pre = {plan->parity, plan->data};
-      const auto slab = arena(2 * static_cast<std::size_t>(unit_bytes_));
-      std::array<std::span<const std::uint8_t>, 2> loaded;
-      if (Status got = gather(IoClass::kForegroundWrite, pre, 0, slab, loaded,
-                              true);
-          !got.ok())
-        return in_context(std::move(got),
-                          "RMW of logical " + std::to_string(logical));
-      const auto parity = slab.first(unit_bytes_);
-      const auto staging = slab.subspan(unit_bytes_);  // old data bytes
-      const std::span<const std::uint8_t> fold[] = {parity, staging, data};
-      core::xor_parity_into(parity, fold);
-      // Both RMW writes go out as ONE batch.  The writes are concurrent,
-      // so EITHER may land alone; each partial outcome has a
-      // compensation that restores the consistent pre-write state:
-      //   * parity landed, data failed -> restore old parity
-      //     (P_old = P_new ^ D_old ^ D_new);
-      //   * data landed, parity failed -> restore the old data bytes
-      //     held in staging (old parity still on disk matches them).
-      // Either way a caller retry is then safe.  Both-failed needs no
-      // compensation (nothing landed); only a failure of the
-      // compensating write itself leaves the stripe torn.
-      std::array<IoRequest, 2> stores = {
-          IoRequest::write_of(IoClass::kForegroundWrite, plan->parity.disk,
-                              byte_offset(plan->parity.offset), parity),
-          IoRequest::write_of(IoClass::kForegroundWrite, plan->data.disk,
-                              byte_offset(plan->data.offset), data)};
-      if (Status stored = scatter(stores, true); !stored.ok()) {
-        Status compensation;
-        if (stores[0].status.ok() && !stores[1].status.ok()) {
-          core::xor_into(parity, staging);
-          core::xor_into(parity, data);
-          compensation = store_unit(plan->parity, parity);
-        } else if (!stores[0].status.ok() && stores[1].status.ok()) {
-          compensation = store_unit(plan->data, staging);
-        }
-        if (compensation.ok() && integrity_) {
-          // Restore the PRE-write checksums too (the cache still
-          // holds them): a landed checksum write would otherwise
-          // leave media claiming the new bytes.  Best-effort -- a
-          // stale media checksum only costs a reopen-time heal.
-          (void)crc_persist(plan->parity);
-          (void)crc_persist(plan->data);
-        }
-        if (!compensation.ok()) {
-          // The compensating write ALSO failed: parity and data now
-          // disagree on disk and nothing in the stripe says so.  Record
-          // the tear so parity-trusting paths (degraded reads, rebuild
-          // decodes) refuse the instance until a heal re-encodes it.
-          mark_torn(instance);
-          return Status::parity_inconsistent(
-              "RMW compensation failed after a partial stripe write (" +
-              compensation.message() +
-              "); stripe instance marked parity-torn");
-        }
-        return stored;
-      }
-      if (receipt) {
-        receipt->num_reads = 2;
-        receipt->reads[0] = plan->data;
-        receipt->reads[1] = plan->parity;
-        receipt->num_writes = 2;
-        receipt->writes[0] = plan->data;
-        receipt->writes[1] = plan->parity;
-      }
-      return OkStatus();
+      return write_rmw(*plan, data, instance, receipt);
     }
     case api::WritePlan::Kind::kReconstructWrite: {
       // The addressed data unit is lost, so the stripe's OTHER lost data
@@ -869,37 +839,9 @@ Status StripeStore::write_locked(std::uint64_t logical,
             "logical " + std::to_string(logical) +
             " needs a reconstruct-write, but its stripe instance is "
             "parity-torn and degraded (unhealable until rebuilt)");
-      if (array_.num_parity_units() > 1)
-        return write_reconstruct_multi(
-            *plan, {peers.data(), plan->num_peer_reads},
-            {peer_idx.data(), plan->num_peer_reads}, data, instance, receipt);
-      // The data unit's disk is gone: fold the new value into parity so a
-      // degraded read reconstructs it.  ONE gather fans the peers out
-      // (each on a distinct disk; aliased when the backend allows), then
-      // parity = XOR(peers) ^ new data in a single pass.
-      const std::uint32_t n = plan->num_peer_reads;
-      std::array<std::span<const std::uint8_t>, 64> srcs;
-      if (Status got = gather(IoClass::kForegroundWrite, {peers.data(), n}, n,
-                              arena(static_cast<std::size_t>(n) * unit_bytes_),
-                              {srcs.data(), n}, true);
-          !got.ok())
-        return in_context(std::move(got), "reconstruct-write of logical " +
-                                              std::to_string(logical));
-      srcs[n] = data;
-      const auto parity = scratch(0, unit_bytes_);
-      core::xor_parity_into(parity, {srcs.data(), n + 1u});
-      IoRequest store = IoRequest::write_of(
-          IoClass::kForegroundWrite, plan->parity.disk,
-          byte_offset(plan->parity.offset), parity);
-      if (Status stored = scatter({&store, 1}, true); !stored.ok())
-        return stored;
-      if (receipt) {
-        receipt->num_reads = n;
-        std::copy_n(peers.begin(), n, receipt->reads.begin());
-        receipt->num_writes = 1;
-        receipt->writes[0] = plan->parity;
-      }
-      return OkStatus();
+      return write_reconstruct(
+          *plan, {peers.data(), plan->num_peer_reads},
+          {peer_idx.data(), plan->num_peer_reads}, data, instance, receipt);
     }
     case api::WritePlan::Kind::kUnprotectedWrite: {
       // No parity to keep in step, so nothing to journal.
@@ -923,18 +865,18 @@ Status StripeStore::write_locked(std::uint64_t logical,
                            "codec tolerates");
 }
 
-Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
-                                    std::span<const std::uint8_t> data,
-                                    std::uint64_t instance,
-                                    WriteReceipt* receipt) {
+Status StripeStore::write_rmw(const api::WritePlan& plan,
+                              std::span<const std::uint8_t> data,
+                              std::uint64_t instance, WriteReceipt* receipt) {
   const core::Codec& codec = array_.codec();
   const std::uint32_t np = plan.num_parities;
 
   // ONE gather loads the old data plus every surviving parity (distinct
   // disks by construction; copied, since this write overwrites them and
-  // the compensation below restores them), the coefficient folds happen
-  // in memory, then ONE scatter stores the new data plus every new
-  // parity.  Every pre-image is verified before the first fold.
+  // they are the pre-image a failed commit restores), the coefficient
+  // folds happen in memory, then ONE commit stores the new data plus
+  // every new parity.  Every pre-image is verified before the first
+  // fold: rot would otherwise be laundered into the new parity.
   std::array<Physical, 1 + api::kMaxParityUnits> pre;
   pre[0] = plan.data;
   for (std::uint32_t j = 0; j < np; ++j) pre[1 + j] = plan.parity_targets[j];
@@ -949,11 +891,15 @@ Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
     return slab.subspan((1 + static_cast<std::size_t>(j)) * unit_bytes_,
                         unit_bytes_);
   };
+  // Each parity folds c_j * (old ^ new): the delta is computed once and
+  // each parity folds it through the codec.
   const auto delta = scratch(0, unit_bytes_);
   const std::span<const std::uint8_t> change[] = {old_data, data};
   core::xor_parity_into(delta, change);
-  for (std::uint32_t j = 0; j < np; ++j)
+  const auto fold = [&](std::uint32_t j) {
     codec.update(parity_buf(j), plan.parity_index[j], plan.data_index, delta);
+  };
+  for (std::uint32_t j = 0; j < np; ++j) fold(j);
 
   std::array<IoRequest, 1 + api::kMaxParityUnits> stores;
   stores[0] = IoRequest::write_of(IoClass::kForegroundWrite, plan.data.disk,
@@ -962,38 +908,17 @@ Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
     stores[1 + j] = IoRequest::write_of(
         IoClass::kForegroundWrite, plan.parity_targets[j].disk,
         byte_offset(plan.parity_targets[j].offset), parity_buf(j));
-  if (Status stored = scatter({stores.data(), 1u + np}, true); !stored.ok()) {
-    // Roll every LANDED write back to the consistent pre-write state:
-    // the data unit takes its old bytes back, and a landed parity takes
-    // a second identical fold (update is an involution) before being
-    // rewritten.  A caller retry is then safe.  Only a failure of the
-    // compensation itself leaves the stripe torn.
-    Status compensation;
-    if (stores[0].status.ok()) compensation = store_unit(plan.data, old_data);
-    for (std::uint32_t j = 0; j < np; ++j) {
-      if (!stores[1 + j].status.ok()) continue;
-      codec.update(parity_buf(j), plan.parity_index[j], plan.data_index,
-                   delta);
-      if (Status undone = store_unit(plan.parity_targets[j], parity_buf(j));
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    if (compensation.ok() && integrity_) {
-      // Best-effort restore of the pre-write checksums (the cache
-      // still holds them); a stale media word is caught by the
-      // reopen-time heal.
-      (void)crc_persist(plan.data);
-      for (std::uint32_t j = 0; j < np; ++j)
-        (void)crc_persist(plan.parity_targets[j]);
-    }
-    if (!compensation.ok()) {
-      mark_torn(instance);
-      return Status::parity_inconsistent(
-          "RMW compensation failed after a partial stripe write (" +
-          compensation.message() + "); stripe instance marked parity-torn");
-    }
-    return stored;
-  }
+  // A landed parity's pre-image is the same fold again (each fold is an
+  // involution), so the happy path copies nothing.
+  const auto pre_image = [&](std::size_t i) -> std::span<const std::uint8_t> {
+    if (i == 0) return old_data;
+    fold(static_cast<std::uint32_t>(i - 1));
+    return parity_buf(static_cast<std::uint32_t>(i - 1));
+  };
+  if (Status committed =
+          commit(instance, {stores.data(), 1u + np}, pre_image, "RMW").status;
+      !committed.ok())
+    return committed;
   if (receipt) {
     receipt->num_reads = 1 + np;
     receipt->reads[0] = plan.data;
@@ -1007,31 +932,36 @@ Status StripeStore::write_rmw_multi(const api::WritePlan& plan,
   return OkStatus();
 }
 
-Status StripeStore::write_reconstruct_multi(
-    const api::WritePlan& plan, std::span<const Physical> peers,
-    std::span<const std::uint32_t> peer_index,
-    std::span<const std::uint8_t> data, std::uint64_t instance,
-    WriteReceipt* receipt) {
+Status StripeStore::write_reconstruct(const api::WritePlan& plan,
+                                      std::span<const Physical> peers,
+                                      std::span<const std::uint32_t> peer_index,
+                                      std::span<const std::uint8_t> data,
+                                      std::uint64_t instance,
+                                      WriteReceipt* receipt) {
   const core::Codec& codec = array_.codec();
   const std::uint32_t n = static_cast<std::uint32_t>(peers.size());
   const std::uint32_t np = plan.num_parities;
   const std::uint32_t m = array_.num_parity_units();
   const std::uint32_t kd = plan.num_data;
+  // The surviving OLD parities are loaded only when the codec keeps more
+  // than one: they feed the decode of a second erased unit and are the
+  // pre-image of a partial multi-parity commit.  A single parity write
+  // lands or does not, so there is nothing to roll back.
+  const std::uint32_t no = m > 1 ? np : 0;
 
-  // Slab layout: n peer slices | np old-parity slices | m decode
+  // Slab layout: n peer slices | no old-parity slices | m decode
   // buffers | m re-encoded parity buffers.
   const auto slab = arena(
-      (static_cast<std::size_t>(n) + np + 2 * static_cast<std::size_t>(m)) *
+      (static_cast<std::size_t>(n) + no + 2 * static_cast<std::size_t>(m)) *
       unit_bytes_);
   const auto slice = [&](std::size_t i) {
     return slab.subspan(i * unit_bytes_, unit_bytes_);
   };
 
-  // Survivor set for the decode AND the compensation: peers first, then
-  // the surviving OLD parities, in ONE gather.  Peers may alias; the old
-  // parities are copied -- this write overwrites them, and the
-  // compensation restores them from the copies.  The decode AND the
-  // re-encode below trust every survivor byte, so all are verified.
+  // Survivor set for the decode AND the rollback: peers first, then the
+  // old parities, in ONE gather.  Peers may alias; the old parities are
+  // copied -- this write overwrites them.  The decode AND the re-encode
+  // below trust every survivor byte, so all are verified.
   std::array<Physical, 64> loads;
   std::array<std::span<const std::uint8_t>, 64> survivors;
   std::array<std::uint32_t, 64> survivor_idx;
@@ -1039,14 +969,14 @@ Status StripeStore::write_reconstruct_multi(
     loads[i] = peers[i];
     survivor_idx[i] = peer_index[i];
   }
-  for (std::uint32_t j = 0; j < np; ++j) {
+  for (std::uint32_t j = 0; j < no; ++j) {
     loads[n + j] = plan.parity_targets[j];
     survivor_idx[n + j] = kd + plan.parity_index[j];
   }
   if (Status got = gather(
-          IoClass::kForegroundWrite, {loads.data(), n + np}, n,
-          slab.first((static_cast<std::size_t>(n) + np) * unit_bytes_),
-          {survivors.data(), n + np}, true);
+          IoClass::kForegroundWrite, {loads.data(), n + no}, n,
+          slab.first((static_cast<std::size_t>(n) + no) * unit_bytes_),
+          {survivors.data(), n + no}, true);
       !got.ok())
     return in_context(std::move(got), "reconstruct-write");
 
@@ -1061,12 +991,12 @@ Status StripeStore::write_reconstruct_multi(
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> outs{};
   for (std::uint32_t e = 1; e < plan.num_erased; ++e) {
     if (plan.erased_index[e] >= kd) continue;  // erased parity: re-encoded below
-    outs[e] = slice(static_cast<std::size_t>(n) + np + e);
+    outs[e] = slice(static_cast<std::size_t>(n) + no + e);
     any_decode = true;
   }
   if (any_decode) {
-    codec.reconstruct(kd, {survivors.data(), n + np},
-                      {survivor_idx.data(), n + np},
+    codec.reconstruct(kd, {survivors.data(), n + no},
+                      {survivor_idx.data(), n + no},
                       {plan.erased_index.data(), plan.num_erased},
                       {outs.data(), plan.num_erased});
     for (std::uint32_t e = 1; e < plan.num_erased; ++e)
@@ -1078,7 +1008,7 @@ Status StripeStore::write_reconstruct_multi(
   // re-creates them).
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
   for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slice(static_cast<std::size_t>(n) + np + m + j);
+    parity_out[j] = slice(static_cast<std::size_t>(n) + no + m + j);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
   std::array<IoRequest, api::kMaxParityUnits> stores;
@@ -1087,107 +1017,23 @@ Status StripeStore::write_reconstruct_multi(
         IoClass::kForegroundWrite, plan.parity_targets[j].disk,
         byte_offset(plan.parity_targets[j].offset),
         parity_out[plan.parity_index[j]]);
-  if (Status stored = scatter({stores.data(), np}, true); !stored.ok()) {
-    // Restore every LANDED parity from the old bytes read above, so
-    // the stripe still encodes the OLD value of the lost unit and a
-    // degraded read stays consistent.  Only a failed restore tears it.
-    Status compensation;
-    for (std::uint32_t j = 0; j < np; ++j) {
-      if (!stores[j].status.ok()) continue;
-      if (Status undone = store_unit(plan.parity_targets[j], survivors[n + j]);
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    if (compensation.ok() && integrity_)
-      for (std::uint32_t j = 0; j < np; ++j)
-        (void)crc_persist(plan.parity_targets[j]);
-    if (!compensation.ok()) {
-      mark_torn(instance);
-      return Status::parity_inconsistent(
-          "reconstruct-write compensation failed after a partial parity "
-          "update (" +
-          compensation.message() + "); stripe instance marked parity-torn");
-    }
-    return stored;
-  }
+  // Rolling a landed parity back to its old bytes keeps the stripe
+  // encoding the OLD value of the lost unit, so a degraded read stays
+  // consistent.  (Reached only with more than one parity write.)
+  const auto pre_image = [&](std::size_t j) { return survivors[n + j]; };
+  if (Status committed = commit(instance, {stores.data(), np}, pre_image,
+                                "reconstruct-write")
+                             .status;
+      !committed.ok())
+    return committed;
   if (receipt) {
-    receipt->num_reads = n + np;
+    receipt->num_reads = n + no;
     for (std::uint32_t i = 0; i < n; ++i) receipt->reads[i] = peers[i];
-    for (std::uint32_t j = 0; j < np; ++j)
+    for (std::uint32_t j = 0; j < no; ++j)
       receipt->reads[n + j] = plan.parity_targets[j];
     receipt->num_writes = np;
     for (std::uint32_t j = 0; j < np; ++j)
       receipt->writes[j] = plan.parity_targets[j];
-  }
-  return OkStatus();
-}
-
-Status StripeStore::write_heal(std::uint64_t logical,
-                               const api::WritePlan& plan,
-                               std::span<const std::uint8_t> data,
-                               std::uint64_t instance,
-                               WriteReceipt* receipt) {
-  const core::Codec& codec = array_.codec();
-  const std::uint32_t kd = plan.num_data;
-  const std::uint32_t m = array_.num_parity_units();
-  std::array<Physical, 64> peers;
-  std::array<std::uint32_t, 64> peer_idx;
-  const auto count =
-      array_.stripe_peers(logical, peers, {peer_idx.data(), peer_idx.size()});
-  if (!count.ok()) return count.status();
-  if (*count + 1 != kd)
-    return Status::parity_inconsistent(
-        "stripe instance is parity-torn AND degraded: a peer data unit is "
-        "lost, so its parity cannot be re-encoded from data (unhealable "
-        "until the lost unit is rebuilt from a replacement image)");
-
-  // Heal = full-stripe re-encode: every peer's bytes plus the incoming
-  // write give the complete data set; the codec then yields parity that
-  // is consistent BY CONSTRUCTION, regardless of what the torn parity
-  // units currently hold.  The peers may alias: the heal rewrites only
-  // the data unit and the parities.  (Peer checksums are NOT verified:
-  // a torn instance's parity is untrustworthy by definition, so rot in
-  // a peer would be unhealable anyway -- the re-encode takes the peers
-  // as ground truth.)
-  const std::size_t n = *count;
-  const auto slab = arena((n + m) * unit_bytes_);
-  std::array<std::span<const std::uint8_t>, 64> loaded;
-  if (Status got = gather(IoClass::kForegroundWrite, {peers.data(), n}, n,
-                          slab.first(n * unit_bytes_), {loaded.data(), n},
-                          false);
-      !got.ok())
-    return got;
-  std::array<std::span<const std::uint8_t>, 64> data_spans;
-  for (std::size_t i = 0; i < n; ++i) data_spans[peer_idx[i]] = loaded[i];
-  data_spans[plan.data_index] = data;
-  std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
-  for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slab.subspan((n + j) * unit_bytes_, unit_bytes_);
-  codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
-
-  // Data first, one unit per scatter: if a parity write then fails, the
-  // stripe simply STAYS torn and the heal can be retried.  Clearing the
-  // tear before all writes land would let a parity-trusting read
-  // through too early.
-  std::array<IoRequest, 1 + api::kMaxParityUnits> stores;
-  stores[0] = IoRequest::write_of(IoClass::kForegroundWrite, plan.data.disk,
-                                  byte_offset(plan.data.offset), data);
-  for (std::uint32_t j = 0; j < plan.num_parities; ++j)
-    stores[1 + j] = IoRequest::write_of(
-        IoClass::kForegroundWrite, plan.parity_targets[j].disk,
-        byte_offset(plan.parity_targets[j].offset),
-        parity_out[plan.parity_index[j]]);
-  for (std::uint32_t i = 0; i <= plan.num_parities; ++i)
-    if (Status stored = scatter({&stores[i], 1}, false); !stored.ok())
-      return stored;
-  clear_torn(instance);
-  if (receipt) {
-    receipt->num_reads = *count;
-    std::copy_n(peers.begin(), *count, receipt->reads.begin());
-    receipt->num_writes = 1 + plan.num_parities;
-    receipt->writes[0] = plan.data;
-    for (std::uint32_t j = 0; j < plan.num_parities; ++j)
-      receipt->writes[1 + j] = plan.parity_targets[j];
   }
   return OkStatus();
 }
@@ -1243,13 +1089,7 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
   for (std::uint32_t j = 0; j < entry->num_parity; ++j)
     codec.update(entry->delta[j], entry->parity_index[j], plan.data_index,
                  delta);
-  if (unit) {
-    unit->bytes.assign(data.begin(), data.end());
-  } else {
-    entry->units.push_back(
-        {logical, plan.data, plan.data_index,
-         std::vector<std::uint8_t>(data.begin(), data.end())});
-  }
+  entry->pin(logical, plan.data, plan.data_index, data);
   cache_->count_absorb();
   if (receipt) {
     // Same shape an immediate RMW would report: the units the write
@@ -1280,16 +1120,25 @@ Status StripeStore::absorb_rmw(const api::WritePlan& plan,
 Status StripeStore::fold_instance_locked(std::uint64_t instance) {
   StripeCache::DirtyEntry* entry = cache_->dirty_find(instance);
   if (!entry) return OkStatus();
-  if (entry->units.empty()) {
+  const auto nd = static_cast<std::uint32_t>(entry->units.size());
+  if (nd == 0) {
     cache_->dirty_erase(instance);
     return OkStatus();
   }
-  if (is_torn(instance)) return fold_reencode_locked(instance, entry);
+  // Once the fold's post-image has landed the deltas are spent.
+  const auto retire = [&](Status folded) {
+    cache_->count_fold(nd);
+    cache_->dirty_erase(instance);
+    return folded;
+  };
+  if (is_torn(instance)) {
+    Status healed = fold_reencode_locked(instance, entry->units, nullptr);
+    return is_torn(instance) ? healed : retire(std::move(healed));
+  }
 
   const std::uint32_t np = entry->num_parity;
-  const auto nd = static_cast<std::uint32_t>(entry->units.size());
   // ONE gather of every pre-image the fold overwrites -- np parities,
-  // then nd dirty units -- all copied (the compensation needs them),
+  // then nd dirty units -- all copied (a failed commit restores them),
   // into a local slab, NOT the thread_local scratch/arena (the inline-
   // fold caller is mid-absorb).  Verified BEFORE folding -- rot would
   // otherwise be laundered into the new parity.  The entry survives a
@@ -1317,9 +1166,11 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
 
   // The folded bytes are landed state: staged rebuild chunks replan.
   sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  // ONE journaled scatter: every dirty data unit, every folded parity,
-  // and their checksums.  A crash mid-fold replays the whole record --
-  // the consistent post-image -- on reopen.
+  // ONE commit: every dirty data unit, every folded parity, and their
+  // checksums.  A crash mid-fold replays the whole record -- the
+  // consistent post-image -- on reopen.  A rolled-back fold KEEPS the
+  // entry: its deltas are still valid against the restored image, and a
+  // later flush retries.
   std::vector<IoRequest> stores(static_cast<std::size_t>(nd) + np);
   for (std::uint32_t i = 0; i < nd; ++i)
     stores[i] = IoRequest::write_of(
@@ -1329,159 +1180,127 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
     stores[nd + j] = IoRequest::write_of(
         IoClass::kForegroundWrite, entry->parity_home[j].disk,
         byte_offset(entry->parity_home[j].offset), slice(j));
-  if (Status stored = scatter(stores, true); !stored.ok()) {
-    // Roll every LANDED write back to its pre-image so the stripe
-    // returns to the consistent pre-fold code word; the entry is KEPT
-    // (its deltas are still valid against that image) and a later
-    // flush retries.  Only a failed compensation tears.
-    Status compensation;
-    for (std::uint32_t i = 0; i < nd; ++i) {
-      if (!stores[i].status.ok()) continue;
-      if (Status undone = store_unit(entry->units[i].home, slice(np + i));
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    for (std::uint32_t j = 0; j < np; ++j) {
-      if (!stores[nd + j].status.ok()) continue;
-      core::xor_into(slice(j), entry->delta[j]);  // involution: pre-image
-      if (Status undone = store_unit(entry->parity_home[j], slice(j));
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    if (compensation.ok() && integrity_) {
-      for (std::uint32_t i = 0; i < nd; ++i)
-        (void)crc_persist(entry->units[i].home);
-      for (std::uint32_t j = 0; j < np; ++j)
-        (void)crc_persist(entry->parity_home[j]);
-    }
-    if (!compensation.ok()) {
-      mark_torn(instance);
-      return Status::parity_inconsistent(
-          "parity-delta fold compensation failed after a partial batch (" +
-          compensation.message() + "); stripe instance marked parity-torn");
-    }
-    return stored;
-  }
-  cache_->count_fold(nd);
-  cache_->dirty_erase(instance);
-  return OkStatus();
+  const auto pre_image = [&](std::size_t i) -> std::span<const std::uint8_t> {
+    if (i < nd) return slice(np + i);
+    core::xor_into(slice(i - nd), entry->delta[i - nd]);  // involution
+    return slice(i - nd);
+  };
+  Committed folded = commit(instance, stores, pre_image, "parity-delta fold");
+  return folded.landed ? retire(std::move(folded.status)) : folded.status;
 }
 
-Status StripeStore::fold_reencode_locked(std::uint64_t instance,
-                                         StripeCache::DirtyEntry* entry) {
-  // Torn + dirty: the accumulated deltas are useless (the parity they
-  // would fold into no longer matches the data), but the instance is
-  // still FULLY PRESENT (dirty implies healthy), so re-encode every
-  // parity from the complete data set -- media bytes with the pinned
-  // dirty writes overlaid -- exactly like write_heal, landing the
-  // absorbed writes and clearing the tear in one journaled batch.
-  // Like write_heal, pre-images are NOT checksum-verified: a torn
-  // instance's parity is untrustworthy by definition, so the re-encode
-  // takes the data bytes as ground truth.
+Status StripeStore::fold_reencode_locked(
+    std::uint64_t instance, std::span<const StripeCache::DirtyUnit> overlay,
+    WriteReceipt* receipt) {
+  // Torn: the instance's parity no longer matches its data, so no delta
+  // can be folded into it.  Re-encode every surviving parity from the
+  // complete data set instead -- media data units with the overlay laid
+  // over -- which is consistent BY CONSTRUCTION, whatever the torn
+  // parity units hold.  Pre-images are NOT checksum-verified: a torn
+  // instance's parity is untrustworthy by definition, so rot in a data
+  // unit would be unhealable anyway -- the re-encode takes the data
+  // bytes as ground truth.
   const core::Codec& codec = array_.codec();
   const std::uint32_t m = array_.num_parity_units();
   const auto stripe = static_cast<std::uint32_t>(instance %
                                                  array_.num_stripes());
-  const auto iteration = static_cast<std::uint32_t>(instance /
-                                                    array_.num_stripes());
   const std::uint64_t lift =
-      static_cast<std::uint64_t>(iteration) * array_.units_per_disk();
+      instance / array_.num_stripes() * array_.units_per_disk();
   std::array<api::Array::StripeUnitStatus, 64> units;
   const auto width_r = array_.stripe_units(stripe, units);
   if (!width_r.ok()) return width_r.status();
-  const std::uint32_t width = *width_r;
-  const std::uint32_t kd = width - m;
-  const auto nd = static_cast<std::uint32_t>(entry->units.size());
+  const std::uint32_t kd = *width_r - m;
+  for (std::uint32_t u = 0; u < kd; ++u)
+    if (units[u].lost)
+      return Status::parity_inconsistent(
+          "stripe instance is parity-torn AND degraded: a data unit is "
+          "lost, so its parity cannot be re-encoded from data (unhealable "
+          "until the lost unit is rebuilt from a replacement image)");
 
-  // Slab: width media pre-images (copied -- the compensation restores
-  // them), then m new parities.
+  // Present units: every data unit, then the surviving parities (a lost
+  // parity is skipped -- rebuild re-creates it).  All copied: they are
+  // the pre-image a failed commit restores.  The slab holds them, then
+  // m new parities.
+  std::array<Physical, 64> homes;
+  std::array<std::uint32_t, api::kMaxParityUnits> parity_of;
+  std::uint32_t present = 0;
+  std::uint32_t np = 0;
+  for (std::uint32_t u = 0; u < *width_r; ++u) {
+    if (units[u].lost) continue;
+    if (u >= kd) parity_of[np++] = u - kd;
+    homes[present++] =
+        Physical{units[u].unit.disk, units[u].unit.offset + lift};
+  }
   std::vector<std::uint8_t> slab(
-      (static_cast<std::size_t>(width) + m) * unit_bytes_);
+      (static_cast<std::size_t>(present) + m) * unit_bytes_);
   const auto slice = [&](std::size_t i) {
     return std::span<std::uint8_t>(slab).subspan(i * unit_bytes_,
                                                  unit_bytes_);
   };
-  std::array<Physical, 64> homes;
-  for (std::uint32_t u = 0; u < width; ++u)
-    homes[u] = Physical{units[u].unit.disk, units[u].unit.offset + lift};
   std::array<std::span<const std::uint8_t>, 64> loaded;
   if (Status got = gather(
-          IoClass::kForegroundWrite, {homes.data(), width}, 0,
-          std::span<std::uint8_t>(slab).first(width * unit_bytes_),
-          {loaded.data(), width}, false);
+          IoClass::kForegroundWrite, {homes.data(), present}, 0,
+          std::span<std::uint8_t>(slab).first(present * unit_bytes_),
+          {loaded.data(), present}, false);
       !got.ok())
     return got;
 
-  // Data set = media bytes with every pinned dirty write overlaid.
   std::array<std::span<const std::uint8_t>, 64> data_spans;
   for (std::uint32_t u = 0; u < kd; ++u) data_spans[u] = loaded[u];
-  for (const StripeCache::DirtyUnit& u : entry->units)
+  for (const StripeCache::DirtyUnit& u : overlay)
     data_spans[u.data_index] = u.bytes;
   std::array<std::span<std::uint8_t>, api::kMaxParityUnits> parity_out;
-  for (std::uint32_t j = 0; j < m; ++j)
-    parity_out[j] = slice(static_cast<std::size_t>(width) + j);
+  for (std::uint32_t j = 0; j < m; ++j) parity_out[j] = slice(present + j);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
   sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
-  std::vector<IoRequest> stores(static_cast<std::size_t>(nd) + m);
-  for (std::uint32_t i = 0; i < nd; ++i)
+  const std::size_t nd = overlay.size();
+  std::vector<IoRequest> stores(nd + np);
+  for (std::size_t i = 0; i < nd; ++i)
     stores[i] = IoRequest::write_of(
-        IoClass::kForegroundWrite, entry->units[i].home.disk,
-        byte_offset(entry->units[i].home.offset), entry->units[i].bytes);
-  for (std::uint32_t j = 0; j < m; ++j)
-    stores[nd + j] = IoRequest::write_of(IoClass::kForegroundWrite,
-                                         homes[kd + j].disk,
-                                         byte_offset(homes[kd + j].offset),
-                                         parity_out[j]);
-  if (Status stored = scatter(stores, true); !stored.ok()) {
-    // Restore every landed write from its media pre-image: the
-    // instance returns to its pre-fold (still torn) state and the
-    // entry is kept for a later retry.
-    Status compensation;
-    for (std::uint32_t i = 0; i < nd; ++i) {
-      if (!stores[i].status.ok()) continue;
-      if (Status undone = store_unit(entry->units[i].home,
-                                     slice(entry->units[i].data_index));
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    for (std::uint32_t j = 0; j < m; ++j) {
-      if (!stores[nd + j].status.ok()) continue;
-      if (Status undone = store_unit(homes[kd + j], slice(kd + j));
-          !undone.ok() && compensation.ok())
-        compensation = undone;
-    }
-    if (compensation.ok() && integrity_) {
-      for (std::uint32_t i = 0; i < nd; ++i)
-        (void)crc_persist(entry->units[i].home);
-      for (std::uint32_t j = 0; j < m; ++j)
-        (void)crc_persist(homes[kd + j]);
-    }
-    // The instance was torn coming in and stays torn; a failed
-    // compensation changes nothing about that.
-    return stored;
-  }
+        IoClass::kForegroundWrite, overlay[i].home.disk,
+        byte_offset(overlay[i].home.offset), overlay[i].bytes);
+  for (std::uint32_t j = 0; j < np; ++j)
+    stores[nd + j] = IoRequest::write_of(
+        IoClass::kForegroundWrite, homes[kd + j].disk,
+        byte_offset(homes[kd + j].offset), parity_out[parity_of[j]]);
+  const auto pre_image = [&](std::size_t i) {
+    return i < nd ? loaded[overlay[i].data_index] : loaded[kd + i - nd];
+  };
+  // A rolled-back heal leaves the instance torn as it came in; the tear
+  // clears only once the re-encoded parities have landed.
+  Committed healed = commit(instance, stores, pre_image, "torn-parity heal");
+  if (!healed.landed) return healed.status;
   clear_torn(instance);
-  cache_->count_fold(nd);
-  cache_->dirty_erase(instance);
-  return OkStatus();
+  if (receipt) {
+    receipt->num_reads = present;
+    std::copy_n(homes.begin(), present, receipt->reads.begin());
+    receipt->num_writes = 1 + np;
+    receipt->writes[0] = overlay[0].home;
+    for (std::uint32_t j = 0; j < np; ++j)
+      receipt->writes[1 + j] = homes[kd + j];
+  }
+  return healed.status;
+}
+
+Status StripeStore::fold_healing_locked(std::uint64_t instance) {
+  Status folded = fold_instance_locked(instance);
+  if (folded.code() != StatusCode::kChecksumMismatch) return folded;
+  // A rotten pre-image: heal it in place (the caller holds the instance
+  // exclusively) and retry the fold once.
+  (void)heal_instance_locked(
+      static_cast<std::uint32_t>(instance % array_.num_stripes()),
+      static_cast<std::uint32_t>(instance / array_.num_stripes()), nullptr);
+  return fold_instance_locked(instance);
 }
 
 Status StripeStore::flush_dirty_shared() {
   Status first;
   for (const std::uint64_t instance : cache_->dirty_instances()) {
     std::unique_lock shard(sync_->shards[instance % sync_->shards.size()]);
-    Status folded = fold_instance_locked(instance);
-    if (folded.code() == StatusCode::kChecksumMismatch) {
-      // A rotten pre-image: heal it in place (we hold the instance's
-      // shard exclusively) and retry the fold once.
-      (void)heal_instance_locked(
-          static_cast<std::uint32_t>(instance % array_.num_stripes()),
-          static_cast<std::uint32_t>(instance / array_.num_stripes()),
-          nullptr);
-      folded = fold_instance_locked(instance);
-    }
-    if (!folded.ok() && first.ok()) first = folded;
+    if (Status folded = fold_healing_locked(instance);
+        !folded.ok() && first.ok())
+      first = folded;
   }
   return first;
 }
@@ -1489,17 +1308,10 @@ Status StripeStore::flush_dirty_shared() {
 Status StripeStore::flush_dirty_exclusive() {
   if (!cache_ || !cache_->any_dirty()) return OkStatus();
   Status first;
-  for (const std::uint64_t instance : cache_->dirty_instances()) {
-    Status folded = fold_instance_locked(instance);
-    if (folded.code() == StatusCode::kChecksumMismatch) {
-      (void)heal_instance_locked(
-          static_cast<std::uint32_t>(instance % array_.num_stripes()),
-          static_cast<std::uint32_t>(instance / array_.num_stripes()),
-          nullptr);
-      folded = fold_instance_locked(instance);
-    }
-    if (!folded.ok() && first.ok()) first = folded;
-  }
+  for (const std::uint64_t instance : cache_->dirty_instances())
+    if (Status folded = fold_healing_locked(instance);
+        !folded.ok() && first.ok())
+      first = folded;
   return first;
 }
 

@@ -26,14 +26,23 @@
 ///     after which the store serves the exact bytes written before the
 ///     failure (checksum-identical for in-place rebuilds).
 ///
-/// Torn parity: when a write's compensation path itself fails (two
-/// substrate faults inside one RMW), the stripe instance's parity no
-/// longer matches its data.  The store marks the instance TORN and every
-/// parity-trusting operation on it (degraded reads, RMW, rebuild of a
-/// data unit) returns a typed kParityInconsistent Status instead of
-/// serving silently-wrong reconstructions.  A later successful write to
-/// the instance heals it: the store re-encodes every surviving parity
-/// from the full data set and clears the flag.
+/// One stripe commit: every parity-maintaining write (RMW,
+/// reconstruct-write, cache fold, torn-parity heal) lands through one
+/// private step, commit().  It stores the units and their checksum words
+/// in one journaled batch, and writes a unit's cached word back when the
+/// unit and its word did not both land or both fail.  If only checksum
+/// words failed, the instance holds its post-image; if some unit writes
+/// failed, every landed unit is written back from its pre-image
+/// (checksum word and cache entry with it).  Either way the instance is
+/// consistent, its checksums agree with media, and a retry is safe.
+/// Only when that restore fails too (two substrate faults inside one
+/// write) does parity no longer match data: the store then marks the
+/// instance TORN, and every parity-trusting operation on it (degraded
+/// reads, RMW, rebuild of a data unit) returns a typed
+/// kParityInconsistent Status instead of serving silently-wrong
+/// reconstructions.  A later successful write to the instance heals it:
+/// the store re-encodes every surviving parity from the full data set
+/// and clears the flag once that commit lands.
 ///
 /// Backends: every parity routine is "gather survivors -> codec ->
 /// scatter", written once over two private primitives.  gather() loads a
@@ -43,12 +52,12 @@
 /// units in one (journaled) batch with their checksum words.  The rule:
 /// reads alias, writes always go through DiskBackend (MemoryBackend
 /// included), and a unit the same operation overwrites is copied, never
-/// aliased -- it is the pre-image a failed write's compensation
-/// restores.  Substrate errors surface as typed kIoError Statuses from
-/// the store's own calls.  A store re-created
-/// over a persistent backend's existing image (file reopen) serves the
-/// bytes a previous process wrote -- parity was maintained write-by-write,
-/// so degraded reads and rebuilds work across restarts.
+/// aliased -- it is the pre-image a failed commit restores.  Substrate
+/// errors surface as typed kIoError Statuses from the store's own calls.
+/// A store re-created over a persistent backend's existing image (file
+/// reopen) serves the bytes a previous process wrote -- parity was
+/// maintained write-by-write, so degraded reads and rebuilds work across
+/// restarts.
 ///
 /// Concurrency: the store layers the readers-writer discipline that
 /// api::Array's external-synchronization contract asks for.  A
@@ -261,16 +270,16 @@ class StripeStore {
   /// Writes one logical unit from `data` (exactly unit_bytes() wide),
   /// keeping parity consistent via RMW / reconstruct-write / unprotected
   /// write as the failure state dictates.  Error contract mirrors read(),
-  /// with one addition: when the data write of an RMW fails after the
-  /// new parity already landed, the store rolls the parity back to its
-  /// pre-write value before returning the kIoError, so the stripe is
-  /// consistent and retrying the write is safe.  A second substrate
-  /// failure during that rollback (the window a crash leaves on real
-  /// arrays) marks the stripe instance TORN and returns
-  /// kParityInconsistent; parity-trusting operations on the instance
-  /// keep returning kParityInconsistent until a successful write to it
-  /// heals the parity (full re-encode).  Thread-safe against concurrent
-  /// read/write.
+  /// with one addition: when part of a write's batch fails, the store
+  /// rolls every landed unit back to its pre-write value before
+  /// returning the kIoError (or, when only checksum words failed, keeps
+  /// the fully landed write), so the stripe is consistent and retrying
+  /// the write is safe.  A second substrate failure during that rollback
+  /// (the window a crash leaves on real arrays) marks the stripe
+  /// instance TORN and returns kParityInconsistent; parity-trusting
+  /// operations on the instance keep returning kParityInconsistent until
+  /// a successful write to it heals the parity (full re-encode).
+  /// Thread-safe against concurrent read/write.
   [[nodiscard]] Status write(std::uint64_t logical,
                              std::span<const std::uint8_t> data,
                              WriteReceipt* receipt = nullptr);
@@ -426,14 +435,33 @@ class StripeStore {
   /// Writes every unit-sized kWrite request of `writes` in ONE backend
   /// batch -- through the write-ahead journal when `journal` and the
   /// backend keeps one.  Under integrity each unit's fresh checksum word
-  /// rides in the same batch and enters the checksum cache only once
-  /// every request landed.  writes[i].status receives each request's
-  /// outcome, for the caller's compensation.
-  [[nodiscard]] Status scatter(std::span<IoRequest> writes, bool journal);
-  /// Rewrites one unit through the backend, unjournaled -- the
-  /// compensation paths' restore primitive.
-  [[nodiscard]] Status store_unit(Physical p,
-                                  std::span<const std::uint8_t> data);
+  /// rides in the same batch, and every unit write that landed enters
+  /// the checksum cache (whatever became of the rest of the batch).  A
+  /// unit whose write and word did not both land or both fail gets its
+  /// cached word written back, so the checksum region on media agrees
+  /// with the units; when that write fails too, `*in_step` (if given)
+  /// becomes false.  writes[i].status receives unit i's own outcome.
+  [[nodiscard]] Status scatter(std::span<IoRequest> writes, bool journal,
+                               bool* in_step = nullptr);
+  /// What commit() left on media.
+  struct Committed {
+    Status status;        ///< what the caller returns
+    bool landed = false;  ///< the post-image stands, checksums in step
+  };
+  /// The one stripe commit of every parity-maintaining write: scatters
+  /// `writes` (journaled) into `instance`.  When some unit writes
+  /// landed and others failed, writes every landed unit i back from
+  /// pre_image(i) -- a callable run only on that path, so the happy path
+  /// copies nothing -- through scatter again.  When that restore fails
+  /// too, or a checksum word cannot be put back in step with its unit,
+  /// marks the instance torn and returns kParityInconsistent naming
+  /// `what`.  Otherwise returns scatter's status, and `landed` says
+  /// whether the instance holds the post-image (every unit write landed)
+  /// or the pre-image.  Caller holds the instance exclusively.
+  template <class PreImage>
+  [[nodiscard]] Committed commit(std::uint64_t instance,
+                                 std::span<IoRequest> writes,
+                                 const PreImage& pre_image, const char* what);
   [[nodiscard]] std::shared_mutex& shard_for(std::uint64_t logical) noexcept;
   /// The (stripe, iteration) instance key of a logical unit -- the torn
   /// set's and the shard hash's common currency.
@@ -463,26 +491,21 @@ class StripeStore {
   [[nodiscard]] Status write_locked(std::uint64_t logical,
                                     std::span<const std::uint8_t> data,
                                     WriteReceipt* receipt);
-  /// RMW fold into multiple surviving parities (Reed-Solomon data path);
-  /// caller holds the locks and has bumped the epoch.
-  [[nodiscard]] Status write_rmw_multi(const api::WritePlan& plan,
-                                       std::span<const std::uint8_t> data,
-                                       std::uint64_t instance,
-                                       WriteReceipt* receipt);
-  /// Reconstruct-write re-encoding multiple surviving parities (decoding
-  /// any second erased unit first); caller holds the locks.
-  [[nodiscard]] Status write_reconstruct_multi(
+  /// RMW under any codec: folds the data delta into every surviving
+  /// parity in place and commits data plus parities; caller holds the
+  /// locks and has bumped the epoch.
+  [[nodiscard]] Status write_rmw(const api::WritePlan& plan,
+                                 std::span<const std::uint8_t> data,
+                                 std::uint64_t instance,
+                                 WriteReceipt* receipt);
+  /// Reconstruct-write under any codec: re-encodes every surviving
+  /// parity from the peers and the new data (decoding any second erased
+  /// unit first) and commits them; caller holds the locks.
+  [[nodiscard]] Status write_reconstruct(
       const api::WritePlan& plan, std::span<const Physical> peers,
       std::span<const std::uint32_t> peer_index,
       std::span<const std::uint8_t> data, std::uint64_t instance,
       WriteReceipt* receipt);
-  /// Torn-parity heal: write the data unit and re-encode EVERY surviving
-  /// parity from the full data set, clearing the torn flag on success.
-  [[nodiscard]] Status write_heal(std::uint64_t logical,
-                                  const api::WritePlan& plan,
-                                  std::span<const std::uint8_t> data,
-                                  std::uint64_t instance,
-                                  WriteReceipt* receipt);
   /// One rebuild step, bytes first (all iterations), then array state:
   /// stage_step and commit_step back to back under the caller's
   /// exclusive lock.
@@ -516,9 +539,6 @@ class StripeStore {
   /// checksum is 0 (unverified -- never written through this layer).
   [[nodiscard]] bool verify_unit_crc(Physical p,
                                      std::span<const std::uint8_t> bytes) const;
-  /// Writes the unit's CACHED checksum to its media slot through the
-  /// backend -- the compensation paths' restore primitive.
-  [[nodiscard]] Status crc_persist(Physical p);
   /// Computes, caches, and persists a fresh checksum over `bytes`.
   /// No-op when the layer is off.
   [[nodiscard]] Status set_fresh_crc(Physical p,
@@ -559,21 +579,32 @@ class StripeStore {
                                   std::span<const std::uint8_t> data,
                                   std::uint64_t instance,
                                   WriteReceipt* receipt, bool* handled);
-  /// Folds one dirty instance to media: one journaled batch writing
-  /// every pinned data unit plus each parity's old bytes XOR its
-  /// accumulated delta (linearity makes that byte-identical to per-op
-  /// RMW).  Partial failure compensates back to the pre-fold image
-  /// (entry kept -- the deltas stay valid); a failed compensation
-  /// marks the instance torn.  kChecksumMismatch when a pre-image
-  /// fails verification -- callers heal and retry.  Caller holds the
-  /// state lock (shared, with the instance's shard lock exclusive) or
-  /// the exclusive state lock.
+  /// Folds one dirty instance to media: one commit writing every
+  /// pinned data unit plus each parity's old bytes XOR its accumulated
+  /// delta (linearity makes that byte-identical to per-op RMW); a torn
+  /// instance is re-encoded instead (fold_reencode_locked).  The entry
+  /// is dropped once the post-image landed and kept when the commit
+  /// rolled back (the deltas stay valid).  kChecksumMismatch when a
+  /// pre-image fails verification -- callers heal and retry.  Caller
+  /// holds the state lock (shared, with the instance's shard lock
+  /// exclusive) or the exclusive state lock.
   [[nodiscard]] Status fold_instance_locked(std::uint64_t instance);
-  /// Torn-instance fold: full-stripe re-encode from media data with
-  /// the pinned dirty bytes overlaid (the dirty-table analogue of
-  /// write_heal), clearing the torn flag on success.
-  [[nodiscard]] Status fold_reencode_locked(std::uint64_t instance,
-                                            StripeCache::DirtyEntry* entry);
+  /// Torn-parity heal: one commit of the `overlay` data units (the
+  /// incoming write, or the pinned dirty units) plus every surviving
+  /// parity re-encoded from the media data units with the overlay laid
+  /// over.  kParityInconsistent when a data unit is lost; the torn flag
+  /// clears only once the commit lands.  Fills `receipt` (when given)
+  /// for a one-unit overlay: every unit read (all data units, the
+  /// overlaid one included, and the surviving parities -- the encode
+  /// inputs and the rollback's pre-image), the overlay unit and the
+  /// surviving parities written.
+  [[nodiscard]] Status fold_reencode_locked(
+      std::uint64_t instance, std::span<const StripeCache::DirtyUnit> overlay,
+      WriteReceipt* receipt);
+  /// fold_instance_locked with one heal-and-retry round on a rotten
+  /// pre-image (the flush loops' common body, like apply_step_healing
+  /// for rebuild).  Caller holds the instance exclusively.
+  [[nodiscard]] Status fold_healing_locked(std::uint64_t instance);
   /// Folds every dirty instance, taking each instance's shard lock
   /// exclusively in turn; caller holds the state lock shared.
   [[nodiscard]] Status flush_dirty_shared();

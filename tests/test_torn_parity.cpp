@@ -15,7 +15,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "api/array.hpp"
@@ -65,10 +70,10 @@ std::uint64_t writes_per_unit(const StripeStore& store) {
 }
 
 /// Ordinal script that makes the FIRST write after `fill` double-fault:
-/// under XOR the batch is [parity, data] and the compensation rewrites
-/// parity, so failing ordinals {base+2, base+3} means "parity landed,
-/// data failed, parity restore failed".  Under RS the batch is
-/// [data, P, Q] and the first compensation rewrites the data unit, so
+/// under XOR the batch is [data, parity] and the rollback rewrites the
+/// data unit, so failing ordinals {base+2, base+3} means "data landed,
+/// parity failed, data restore failed".  Under RS the batch is
+/// [data, P, Q] and the rollback rewrites the data unit first, so
 /// {base+3, base+4} means "data and P landed, Q failed, data rollback
 /// failed".
 std::vector<std::uint64_t> double_fault_script(core::CodecKind codec,
@@ -244,6 +249,320 @@ TEST(TornParity, SingleFaultCompensationStillRestoresConsistency) {
   ASSERT_TRUE(plan.ok());
   ASSERT_TRUE(s.fail_disk(plan->target.disk).ok());
   expect_canonical(s, victim, "degraded read after rollback");
+}
+
+// ---------------------------------------------------------------------
+// Single and double faults across a whole commit, integrity on.
+//
+// Every parity-maintaining write lands through one commit: unit writes
+// plus their checksum words in one journaled batch, then -- when only
+// some units landed -- a restore batch writing the landed units back.
+// The suites below fail every write ordinal (and every pair of ordinals)
+// of that sequence and check that the instance is either consistent or
+// marked torn, never silently inconsistent.
+
+/// The write operations a fault can land inside.
+enum class Op : std::uint8_t {
+  kRmw,          ///< healthy small write
+  kReconstruct,  ///< write to a unit whose disk is lost
+  kUnprotected,  ///< write to a stripe whose every parity is lost
+  kFold,         ///< flush_cache folding one absorbed write
+  kHeal,         ///< write to a parity-torn instance
+};
+
+struct Scenario {
+  core::CodecKind codec;
+  bool file;  ///< FileBackend with its journal; MemoryBackend otherwise
+  Op op;
+};
+
+std::string describe(const Scenario& s) {
+  static const char* const kOps[] = {"rmw", "reconstruct", "unprotected",
+                                     "fold", "heal"};
+  return std::string(s.codec == core::CodecKind::kXorParity ? "xor" : "rs") +
+         (s.file ? "/file/" : "/memory/") + kOps[static_cast<int>(s.op)];
+}
+
+/// A store with integrity on over a FaultInjectionBackend that fails
+/// the listed write ordinals; file-backed stores own a fresh directory.
+struct FaultyStore {
+  std::filesystem::path dir;
+  std::unique_ptr<StripeStore> store;
+  FaultInjectionBackend* faults = nullptr;  ///< owned by the store
+
+  FaultyStore(const Scenario& s, std::vector<std::uint64_t> fail_write_ops) {
+    static int serial = 0;
+    std::unique_ptr<DiskBackend> base = make_memory_backend();
+    if (s.file) {
+      dir = std::filesystem::temp_directory_path() /
+            ("pdl_torn_parity_" + std::to_string(::getpid()) + "_" +
+             std::to_string(serial++));
+      std::filesystem::remove_all(dir);
+      base = make_file_backend({.directory = dir.string()});
+    }
+    auto array = api::Array::create({.num_disks = 9, .stripe_size = 4}, {},
+                                    {.codec = s.codec, .integrity = true});
+    EXPECT_TRUE(array.ok()) << array.status().to_string();
+    if (!array.ok()) return;
+    auto backend = std::make_unique<FaultInjectionBackend>(
+        std::move(base),
+        FaultInjectionOptions{.fail_write_ops = std::move(fail_write_ops)});
+    faults = backend.get();
+    StripeStoreOptions options{.unit_bytes = kUnitBytes, .iterations = 1};
+    if (s.op == Op::kFold) {
+      options.cache.enabled = true;
+      options.cache.hot_threshold = 1;  // every write is absorbed
+      options.cache.decay_interval = 0;
+      options.cache.flush_interval_us = 0;  // folds only when flushed
+    }
+    auto created = StripeStore::create(std::move(array).value(), options,
+                                       std::move(backend));
+    EXPECT_TRUE(created.ok()) << created.status().to_string();
+    if (created.ok())
+      store = std::make_unique<StripeStore>(std::move(created).value());
+  }
+  ~FaultyStore() {
+    store.reset();
+    if (!dir.empty()) std::filesystem::remove_all(dir);
+  }
+  FaultyStore(const FaultyStore&) = delete;
+  FaultyStore& operator=(const FaultyStore&) = delete;
+
+  [[nodiscard]] std::uint64_t writes() const { return faults->stats().writes; }
+};
+
+constexpr std::uint64_t kVictim = 0;
+
+std::vector<std::uint8_t> old_bytes() {
+  std::vector<std::uint8_t> bytes(kUnitBytes);
+  canonical_fill(kVictim, kSeed, bytes);
+  return bytes;
+}
+
+std::vector<std::uint8_t> new_bytes() {
+  return std::vector<std::uint8_t>(kUnitBytes, 0xA5);
+}
+
+/// Brings the store to the state the scenario's operation starts from:
+/// every unit canonical, then the op's failed disks, its absorbed write
+/// (kFold), or its tearing write (kHeal, torn by the store's scripted
+/// faults).  Returns the disks it failed.
+std::vector<DiskId> prepare(StripeStore& store, const Scenario& s) {
+  EXPECT_TRUE(fill_canonical(store, 0, store.num_logical_units(), kSeed).ok());
+  EXPECT_TRUE(store.flush_cache().ok());
+  std::array<Physical, 64> peers;
+  const auto plan = store.array().plan_write(kVictim, peers);
+  EXPECT_TRUE(plan.ok());
+  std::vector<DiskId> failed;
+  if (s.op == Op::kReconstruct) failed.push_back(plan->data.disk);
+  if (s.op == Op::kUnprotected)
+    for (std::uint32_t j = 0; j < plan->num_parities; ++j)
+      failed.push_back(plan->parity_targets[j].disk);
+  for (const DiskId disk : failed) EXPECT_TRUE(store.fail_disk(disk).ok());
+  if (s.op == Op::kFold || s.op == Op::kHeal)
+    (void)store.write(kVictim, new_bytes());  // absorbed, or torn
+  return failed;
+}
+
+Status run_op(StripeStore& store, const Scenario& s) {
+  if (s.op == Op::kFold) return store.flush_cache();
+  return store.write(kVictim, new_bytes());
+}
+
+/// Write ordinals before the operation, and the operation's own writes
+/// when nothing faults; `setup_faults` are the tearing write's ordinals.
+struct Probe {
+  std::uint64_t base = 0;
+  std::uint64_t batch = 0;
+  std::vector<std::uint64_t> setup_faults;
+};
+
+Probe probe(const Scenario& s) {
+  Probe p;
+  if (s.op == Op::kHeal) {
+    // Tear: the first parity write fails and so does the restore of the
+    // data unit that landed -- ordinals 2 and batch + 1 of the write.
+    FaultyStore clean(s, {});
+    EXPECT_TRUE(fill_canonical(*clean.store, 0,
+                               clean.store->num_logical_units(), kSeed)
+                    .ok());
+    const std::uint64_t before = clean.writes();
+    EXPECT_TRUE(clean.store->write(kVictim, new_bytes()).ok());
+    const std::uint64_t batch = clean.writes() - before;
+    p.setup_faults = {before + 2, before + batch + 1};
+  }
+  FaultyStore f(s, p.setup_faults);
+  (void)prepare(*f.store, s);
+  if (s.op == Op::kHeal) {
+    EXPECT_EQ(f.store->torn_parity_instances(), 1u) << describe(s);
+  }
+  p.base = f.writes();
+  EXPECT_TRUE(run_op(*f.store, s).ok()) << describe(s);
+  p.batch = f.writes() - p.base;
+  return p;
+}
+
+/// Reads the victim and checks it holds one of `allowed`.
+void expect_victim_in(StripeStore& store,
+                      const std::vector<std::vector<std::uint8_t>>& allowed,
+                      const std::string& context) {
+  std::vector<std::uint8_t> unit(kUnitBytes);
+  const Status read = store.read(kVictim, unit);
+  ASSERT_TRUE(read.ok()) << context << ": " << read.to_string();
+  EXPECT_TRUE(std::find(allowed.begin(), allowed.end(), unit) !=
+              allowed.end())
+      << context << ": victim holds neither its old nor its new bytes";
+}
+
+/// Replaces every failed disk and rebuilds to health, then checks every
+/// stripe re-encodes from its data -- a degraded stripe's parities are
+/// only comparable once its lost units are back.
+void expect_restores_consistent(StripeStore& store,
+                                const std::vector<DiskId>& failed,
+                                const std::string& context) {
+  for (const DiskId disk : failed)
+    ASSERT_TRUE(store.replace_disk(disk).ok()) << context;
+  const auto rebuilt = store.rebuild();
+  ASSERT_TRUE(rebuilt.ok()) << context << ": " << rebuilt.status().to_string();
+  const auto inconsistent = store.verify_stripes();
+  ASSERT_TRUE(inconsistent.ok()) << context;
+  EXPECT_EQ(*inconsistent, 0u) << context;
+}
+
+/// File-backed stores only: syncs, reopens the images with no fault
+/// injection, fails the same disks again, and scrubs.  Every checksum
+/// word on media must agree with its unit -- a stale word would read as
+/// rot after the restart and spend one erasure of the stripe's
+/// tolerance -- so the reopened store finds no mismatch, and the victim
+/// reads as one of `allowed`.  The reopened store replaces f.store.
+void expect_media_in_step(FaultyStore& f, const std::vector<DiskId>& failed,
+                          const std::vector<std::vector<std::uint8_t>>& allowed,
+                          const std::string& context) {
+  if (f.dir.empty()) return;
+  ASSERT_TRUE(f.store->sync().ok()) << context;
+  const std::string array_text = f.store->array().serialize();
+  f.store.reset();
+  f.faults = nullptr;
+  auto array = api::Array::deserialize(array_text);
+  ASSERT_TRUE(array.ok()) << context;
+  auto reopened = StripeStore::create(
+      std::move(array).value(), {.unit_bytes = kUnitBytes, .iterations = 1},
+      make_file_backend({.directory = f.dir.string()}));
+  ASSERT_TRUE(reopened.ok()) << context << ": "
+                             << reopened.status().to_string();
+  f.store = std::make_unique<StripeStore>(std::move(reopened).value());
+  for (const DiskId disk : failed)
+    ASSERT_TRUE(f.store->fail_disk(disk).ok()) << context;
+  expect_victim_in(*f.store, allowed, context + " after reopen");
+  const auto scrubbed = f.store->scrub();
+  ASSERT_TRUE(scrubbed.ok()) << context;
+  EXPECT_EQ(f.store->integrity_stats().mismatches, 0u)
+      << context << ": a checksum word on media disagrees with its unit";
+}
+
+std::vector<Scenario> scenarios(std::initializer_list<Op> ops) {
+  std::vector<Scenario> out;
+  for (const bool file : {false, true})
+    for (const core::CodecKind codec :
+         {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ})
+      for (const Op op : ops) out.push_back({codec, file, op});
+  return out;
+}
+
+TEST(TornParity, SingleFaultAnywhereInTheBatchLeavesTheUnitServable) {
+  // One failed write -- a unit or a checksum word -- must leave the
+  // victim readable as its old or its new bytes, every checksum in step
+  // with media (across a reopen, for the file backend), no tear, and a
+  // retry that succeeds.
+  for (const Scenario& s : scenarios({Op::kRmw, Op::kReconstruct,
+                                      Op::kUnprotected, Op::kFold})) {
+    const Probe p = probe(s);
+    ASSERT_GT(p.batch, 0u) << describe(s);
+    for (std::uint64_t k = 1; k <= p.batch; ++k) {
+      const std::string context =
+          describe(s) + " failing write " + std::to_string(k) + " of " +
+          std::to_string(p.batch);
+      FaultyStore f(s, {p.base + k});
+      const std::vector<DiskId> failed = prepare(*f.store, s);
+      EXPECT_FALSE(run_op(*f.store, s).ok()) << context;
+      // An absorbed write was acknowledged: only its new bytes are right.
+      const std::vector<std::vector<std::uint8_t>> allowed =
+          s.op == Op::kFold
+              ? std::vector<std::vector<std::uint8_t>>{new_bytes()}
+              : std::vector<std::vector<std::uint8_t>>{old_bytes(),
+                                                       new_bytes()};
+      expect_victim_in(*f.store, allowed, context);
+      EXPECT_EQ(f.store->torn_parity_instances(), 0u) << context;
+      const auto inconsistent = f.store->verify_stripes();
+      ASSERT_TRUE(inconsistent.ok()) << context;
+      EXPECT_EQ(*inconsistent, 0u) << context;
+      expect_media_in_step(f, failed, allowed, context);
+
+      StripeStore& store = *f.store;
+      const Status retried = store.write(kVictim, new_bytes());
+      EXPECT_TRUE(retried.ok()) << context << ": " << retried.to_string();
+      EXPECT_TRUE(store.flush_cache().ok()) << context;
+      expect_victim_in(store, {new_bytes()}, context + " after the retry");
+      expect_restores_consistent(store, failed, context);
+      expect_victim_in(store, {new_bytes()}, context + " after rebuild");
+    }
+  }
+}
+
+TEST(TornParity, DoubleFaultSweepNeverLeavesAnUntornInconsistentInstance) {
+  // Every pair of write ordinals across the operation's batch and its
+  // restore writes.  The instance ends either torn -- reported as
+  // kParityInconsistent (a heal that rolled back keeps the tear it came
+  // in with and reports the substrate error) -- or consistent: the
+  // victim holds its old or new bytes, every checksum word on media
+  // agrees with its unit, and, after rebuilding any failed disk, every
+  // stripe re-encodes from its data.
+  std::vector<Scenario> sweep = scenarios({Op::kRmw, Op::kFold, Op::kHeal});
+  for (const bool file : {false, true})
+    sweep.push_back({core::CodecKind::kReedSolomonPQ, file, Op::kReconstruct});
+  for (const Scenario& s : sweep) {
+    const Probe p = probe(s);
+    // The restore rewrites the landed units, each with its checksum
+    // word, and every unit whose word disagreed gets it written back:
+    // with two faults, at most one more batch.
+    const std::uint64_t span = 2 * p.batch;
+    std::uint64_t exercised = 0;
+    for (std::uint64_t a = 1; a <= span; ++a)
+      for (std::uint64_t b = a + 1; b <= span; ++b) {
+        const std::string context = describe(s) + " failing writes " +
+                                    std::to_string(a) + " and " +
+                                    std::to_string(b);
+        std::vector<std::uint64_t> script = p.setup_faults;
+        script.push_back(p.base + a);
+        script.push_back(p.base + b);
+        FaultyStore f(s, script);
+        StripeStore& store = *f.store;
+        const std::vector<DiskId> failed = prepare(store, s);
+        const Status outcome = run_op(store, s);
+        // A second ordinal past the operation's last write is a single
+        // fault, which the suite above covers.
+        if (f.writes() < p.base + b) continue;
+        ++exercised;
+        const auto ref = store.array().logical_ref(kVictim);
+        if (store.parity_torn(ref.stripe, ref.iteration)) {
+          if (s.op == Op::kHeal && outcome.code() == StatusCode::kIoError)
+            continue;
+          EXPECT_EQ(outcome.code(), StatusCode::kParityInconsistent)
+              << context << ": " << outcome.to_string();
+          continue;
+        }
+        EXPECT_NE(outcome.code(), StatusCode::kParityInconsistent) << context;
+        const std::vector<std::vector<std::uint8_t>> allowed =
+            s.op == Op::kFold
+                ? std::vector<std::vector<std::uint8_t>>{new_bytes()}
+                : std::vector<std::vector<std::uint8_t>>{old_bytes(),
+                                                         new_bytes()};
+        expect_victim_in(store, allowed, context);
+        expect_media_in_step(f, failed, allowed, context);
+        expect_restores_consistent(*f.store, failed, context);
+      }
+    EXPECT_GT(exercised, 0u) << describe(s);
+  }
 }
 
 }  // namespace
