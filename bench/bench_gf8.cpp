@@ -1,8 +1,15 @@
-// GF(2^8) kernel throughput: the bit-sliced constant-multiply kernels
-// behind the Reed-Solomon P+Q codec (core::gf8::mul_xor_into /
-// mul_in_place, the Q-parity inner loops) versus the scalar table-lookup
-// references they replaced (core::gf8::detail::*_scalar).  Two operations
-// are measured per unit size:
+// GF(2^8) kernel throughput: the constant-multiply kernels behind the
+// Reed-Solomon P+Q codec (core::gf8::mul_xor_into / mul_in_place, the
+// Q-parity inner loops) in three forms per coefficient and unit size:
+//
+//   * vector   -- the dispatched kernel the codec runs (pshufb nibble
+//                 tables on CPUs with SSSE3, else the portable kernel);
+//   * portable -- the bit-sliced kernel (core::gf8::detail::*_portable),
+//                 what CPUs without SSSE3 run;
+//   * scalar   -- the log/exp-table byte loops (core::gf8::detail::
+//                 *_scalar), the reference both are tested against.
+//
+// Two operations are measured:
 //
 //   * mul-xor  -- dst ^= c * src (the Q-parity delta fold of a
 //                 read-modify-write, and each survivor's contribution to
@@ -11,8 +18,11 @@
 //                 Q = sum alpha^i d_i, and the final inverse scaling of
 //                 a decode).
 //
-// Every measured kernel's output is verified against the scalar result
-// before timing counts, so the speedup comes with a correctness proof.
+// The coefficients are alpha^0..alpha^4, the Q coefficients of data
+// units 0..4 (alpha^0 = 1 runs as a plain XOR), and alpha^7 = 0x80, a
+// single high bit that is the bit-sliced kernel's worst case.  Every
+// measured kernel's output is verified against the scalar result before
+// timing counts, so the speedup comes with a correctness proof.
 //
 //   $ ./bench_gf8 [--smoke]
 
@@ -57,7 +67,7 @@ double measure(double target_seconds, std::uint64_t bytes_per_op, Op&& op) {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  const double seconds = smoke ? 0.02 : 0.25;
+  const double seconds = smoke ? 0.02 : 0.1;
 
   bench::header("gf(2^8) kernel throughput",
                 "the Reed-Solomon Q parity multiplies every unit by a "
@@ -67,61 +77,74 @@ int main(int argc, char** argv) {
   std::mt19937_64 rng(0x6F8);
   bool all_verified = true;
 
-  // alpha^7: a mid-table constant with a dense bit pattern (no shortcut
-  // for the kernels, representative of decode coefficients).
-  const std::uint8_t c = core::gf8::exp_alpha(7);
+  for (const std::uint32_t power : {0u, 1u, 2u, 3u, 4u, 7u}) {
+    const std::uint8_t c = core::gf8::exp_alpha(power);
+    for (const std::size_t size : {512u, 4096u, 65536u}) {
+      // ------------------------------------------------------- mul-xor
+      const auto dst_start = random_bytes(size, rng);
+      const auto src = random_bytes(size, rng);
+      auto dst_scalar = dst_start, dst_portable = dst_start,
+           dst_vec = dst_start;
 
-  for (const std::size_t size : {512u, 4096u, 65536u}) {
-    // --------------------------------------------------------- mul-xor
-    auto dst_vec = random_bytes(size, rng);
-    auto dst_scalar = dst_vec;
-    const auto src = random_bytes(size, rng);
-
-    core::gf8::mul_xor_into(dst_vec, src, c);
-    core::gf8::detail::mul_xor_into_scalar(dst_scalar, src, c);
-    const bool mulxor_ok = dst_vec == dst_scalar;
-
-    const double mulxor_scalar = measure(seconds, size, [&] {
       core::gf8::detail::mul_xor_into_scalar(dst_scalar, src, c);
-    });
-    const double mulxor_vector = measure(
-        seconds, size, [&] { core::gf8::mul_xor_into(dst_vec, src, c); });
+      core::gf8::detail::mul_xor_into_portable(dst_portable, src, c);
+      core::gf8::mul_xor_into(dst_vec, src, c);
+      const bool mulxor_ok =
+          dst_vec == dst_scalar && dst_portable == dst_scalar;
 
-    // ---------------------------------------------------- mul in place
-    // The timed loops above ran different iteration counts on the two
-    // buffers; re-sync so this verification compares equal inputs.
-    dst_scalar = dst_vec;
-    core::gf8::mul_in_place(dst_vec, c);
-    core::gf8::detail::mul_in_place_scalar(dst_scalar, c);
-    const bool mul_ok = dst_vec == dst_scalar;
+      const double mulxor_scalar = measure(seconds, size, [&] {
+        core::gf8::detail::mul_xor_into_scalar(dst_scalar, src, c);
+      });
+      const double mulxor_portable = measure(seconds, size, [&] {
+        core::gf8::detail::mul_xor_into_portable(dst_portable, src, c);
+      });
+      const double mulxor_vector = measure(
+          seconds, size, [&] { core::gf8::mul_xor_into(dst_vec, src, c); });
 
-    const double mul_scalar = measure(seconds, size, [&] {
+      // -------------------------------------------------- mul in place
+      // The timed loops above ran different iteration counts on the
+      // buffers; re-sync so this verification compares equal inputs.
+      dst_scalar = dst_vec;
+      dst_portable = dst_vec;
       core::gf8::detail::mul_in_place_scalar(dst_scalar, c);
-    });
-    const double mul_vector =
-        measure(seconds, size, [&] { core::gf8::mul_in_place(dst_vec, c); });
+      core::gf8::detail::mul_in_place_portable(dst_portable, c);
+      core::gf8::mul_in_place(dst_vec, c);
+      const bool mul_ok = dst_vec == dst_scalar && dst_portable == dst_scalar;
 
-    const bool verified = mulxor_ok && mul_ok;
-    if (!verified) all_verified = false;
+      const double mul_scalar = measure(seconds, size, [&] {
+        core::gf8::detail::mul_in_place_scalar(dst_scalar, c);
+      });
+      const double mul_portable = measure(seconds, size, [&] {
+        core::gf8::detail::mul_in_place_portable(dst_portable, c);
+      });
+      const double mul_vector =
+          measure(seconds, size, [&] { core::gf8::mul_in_place(dst_vec, c); });
 
-    std::printf(
-        "%6zu B  mul-xor %8.0f -> %8.0f MB/s (%4.1fx) | mul %8.0f -> "
-        "%8.0f MB/s (%4.1fx) | %s\n",
-        size, mulxor_scalar, mulxor_vector, mulxor_vector / mulxor_scalar,
-        mul_scalar, mul_vector, mul_vector / mul_scalar,
-        bench::okbad(verified));
+      const bool verified = mulxor_ok && mul_ok;
+      if (!verified) all_verified = false;
 
-    bench::json_result("gf8_kernels", /*schema_version=*/1)
-        .field("unit_bytes", static_cast<std::uint64_t>(size))
-        .field("coefficient", static_cast<std::uint64_t>(c))
-        .field("mulxor_scalar_mbps", mulxor_scalar)
-        .field("mulxor_vector_mbps", mulxor_vector)
-        .field("mulxor_speedup", mulxor_vector / mulxor_scalar)
-        .field("mul_scalar_mbps", mul_scalar)
-        .field("mul_vector_mbps", mul_vector)
-        .field("mul_speedup", mul_vector / mul_scalar)
-        .field("verified", verified)
-        .emit();
+      std::printf(
+          "a^%u=0x%02x %6zu B  mul-xor %7.0f / %7.0f / %7.0f MB/s (%5.1fx) | "
+          "mul %7.0f / %7.0f / %7.0f MB/s (%5.1fx) | %s\n",
+          power, c, size, mulxor_scalar, mulxor_portable, mulxor_vector,
+          mulxor_vector / mulxor_scalar, mul_scalar, mul_portable, mul_vector,
+          mul_vector / mul_scalar, bench::okbad(verified));
+
+      bench::json_result("gf8_kernels", /*schema_version=*/2)
+          .field("unit_bytes", static_cast<std::uint64_t>(size))
+          .field("alpha_power", static_cast<std::uint64_t>(power))
+          .field("coefficient", static_cast<std::uint64_t>(c))
+          .field("mulxor_scalar_mbps", mulxor_scalar)
+          .field("mulxor_portable_mbps", mulxor_portable)
+          .field("mulxor_vector_mbps", mulxor_vector)
+          .field("mulxor_speedup", mulxor_vector / mulxor_scalar)
+          .field("mul_scalar_mbps", mul_scalar)
+          .field("mul_portable_mbps", mul_portable)
+          .field("mul_vector_mbps", mul_vector)
+          .field("mul_speedup", mul_vector / mul_scalar)
+          .field("verified", verified)
+          .emit();
+    }
   }
 
   if (!all_verified) {

@@ -303,14 +303,23 @@ TEST(AsyncBackend, RebuildTrafficCompletesUnderForegroundLoad) {
   // TSan) demand.
   constexpr std::uint64_t kHalf = 1u << 19;
   std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> reads_done{0};
   std::thread foreground([&] {
     std::vector<std::uint8_t> buf(4096);
     std::uint64_t offset = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      ASSERT_TRUE(backend->read(0, kHalf + offset, buf).ok());
+      // Counted before the assertion, so a failed read cannot leave the
+      // main thread waiting below.
+      const bool ok = backend->read(0, kHalf + offset, buf).ok();
+      reads_done.fetch_add(1, std::memory_order_relaxed);
+      ASSERT_TRUE(ok);
       offset = (offset + 4096) % kHalf;
     }
   });
+  // The rebuild batch must meet a running foreground stream: wait for
+  // the first foreground read before submitting it.
+  while (reads_done.load(std::memory_order_relaxed) == 0)
+    std::this_thread::yield();
 
   std::vector<std::vector<std::uint8_t>> payloads;
   std::vector<IoRequest> rebuild;

@@ -1,9 +1,10 @@
 // Differential suite for the codec seam's arithmetic:
 //
-//   1. the vectorized (bit-sliced) GF(2^8) kernels are pinned byte-exact
-//      to the scalar log/exp-table references on every size class from
-//      1 byte to 64 KiB, including unaligned base addresses and ragged
-//      tails;
+//   1. the GF(2^8) kernels -- the dispatched one (pshufb nibble tables
+//      where the CPU has SSSE3) and the portable bit-sliced one -- are
+//      pinned byte-exact to the scalar log/exp-table references for every
+//      constant, on every size class from 1 byte to 64 KiB, including
+//      unaligned base addresses and ragged tails;
 //   2. both are pinned to the fully independent algebra::GaloisField
 //      table arithmetic (the same construction machinery the layout
 //      designs use), so the fast path, the slow path, and the abstract
@@ -132,6 +133,67 @@ TEST(Gf8, MulInPlaceMatchesScalarOnEverySizeAndAlignment) {
       }
     }
   }
+}
+
+/// Sizes around the kernels' 16- and 64-byte steps and a 4 KiB unit.
+const std::size_t kKernelSizes[] = {1, 15, 16, 17, 63, 64, 65, 4096, 4097};
+
+TEST(Gf8, EveryConstantMulXorIntoAgreesAcrossKernels) {
+  // Dispatched (SSSE3 where the CPU has it) and portable (bit-sliced)
+  // against the scalar reference, for all 256 constants.
+  std::mt19937_64 rng(0x5EED);
+  for (const std::size_t size : kKernelSizes) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const auto src_backing = random_bytes(size + offset, rng);
+      const auto dst_start = random_bytes(size + offset, rng);
+      const std::span<const std::uint8_t> src{src_backing.data() + offset,
+                                              size};
+      for (std::uint32_t c = 0; c < 256; ++c) {
+        auto ref = dst_start, fast = dst_start, portable = dst_start;
+        const auto window = [&](std::vector<std::uint8_t>& backing) {
+          return std::span<std::uint8_t>{backing.data() + offset, size};
+        };
+        const auto cc = static_cast<std::uint8_t>(c);
+        gf8::detail::mul_xor_into_scalar(window(ref), src, cc);
+        gf8::mul_xor_into(window(fast), src, cc);
+        gf8::detail::mul_xor_into_portable(window(portable), src, cc);
+        ASSERT_EQ(fast, ref) << "size " << size << " offset " << offset
+                             << " c " << c;
+        ASSERT_EQ(portable, ref) << "size " << size << " offset " << offset
+                                 << " c " << c;
+      }
+    }
+  }
+}
+
+TEST(Gf8, EveryConstantMulInPlaceAgreesAcrossKernels) {
+  std::mt19937_64 rng(0x1DEA);
+  for (const std::size_t size : kKernelSizes) {
+    for (std::size_t offset = 0; offset < 16; ++offset) {
+      const auto start = random_bytes(size + offset, rng);
+      for (std::uint32_t c = 0; c < 256; ++c) {
+        auto ref = start, fast = start, portable = start;
+        const auto window = [&](std::vector<std::uint8_t>& backing) {
+          return std::span<std::uint8_t>{backing.data() + offset, size};
+        };
+        const auto cc = static_cast<std::uint8_t>(c);
+        gf8::detail::mul_in_place_scalar(window(ref), cc);
+        gf8::mul_in_place(window(fast), cc);
+        gf8::detail::mul_in_place_portable(window(portable), cc);
+        ASSERT_EQ(fast, ref) << "size " << size << " offset " << offset
+                             << " c " << c;
+        ASSERT_EQ(portable, ref) << "size " << size << " offset " << offset
+                                 << " c " << c;
+      }
+    }
+  }
+}
+
+TEST(Gf8, MulXorIntoRejectsSizeMismatch) {
+  std::vector<std::uint8_t> dst(8), src(9);
+  EXPECT_THROW(gf8::mul_xor_into(dst, src, 3), std::invalid_argument);
+  EXPECT_THROW(gf8::detail::mul_xor_into_portable(dst, src, 3),
+               std::invalid_argument);
 }
 
 TEST(Gf8, VectorKernelMatchesAlgebraFieldBytewise) {
