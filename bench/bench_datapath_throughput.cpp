@@ -347,9 +347,12 @@ bool run_depth_sweep(const engine::LayoutPlan& plan,
 /// Foreground latency under concurrent rebuild, fifo vs
 /// rebuild-deprioritizing: same store shape, same pure-read foreground
 /// workload, a rebuilder thread draining the repair plan -- only the
-/// per-disk dispatch policy differs.  The deprioritizing policy holds
-/// rebuild waves behind pending foreground requests (up to its bounded
-/// delay), so foreground p99 should drop relative to fifo.
+/// per-disk dispatch policy differs.  A rebuild batch runs inside one
+/// exclusive hold of the store's state lock, so this store's foreground
+/// reads and rebuild I/O alternate rather than share the disk queues:
+/// the policy can only reorder requests that are queued together, and
+/// the records show what the policy costs or saves under that
+/// alternation, not a foreground-over-rebuild reordering.
 bool run_scheduler_compare(const engine::LayoutPlan& plan,
                            const std::string& backend_kind,
                            const std::filesystem::path& scratch_root,

@@ -425,16 +425,6 @@ class Array {
       std::uint64_t logical, std::span<Physical> peer_reads,
       std::span<std::uint32_t> peer_index = {}) const;
 
-  /// The surviving data units of the logical's stripe, EXCLUDING the
-  /// addressed unit itself, at their current (redirect-aware) homes,
-  /// with codec data indices in `peer_index` when non-empty.  Returns
-  /// the peer count.  This is the read set for a full-stripe parity
-  /// re-encode (io::StripeStore's torn-parity heal).  kInvalidArgument
-  /// when a span is too small.
-  [[nodiscard]] Result<std::uint32_t> stripe_peers(
-      std::uint64_t logical, std::span<Physical> peers,
-      std::span<std::uint32_t> peer_index = {}) const;
-
   /// One content unit of a stripe as the scrub/heal path sees it: its
   /// codec index, its current (redirect-aware) iteration-0 home, and
   /// whether it is presently lost to a disk failure.

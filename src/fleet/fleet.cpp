@@ -285,6 +285,14 @@ Result<std::uint64_t> Fleet::rebuild_some(std::uint32_t shard,
     std::shared_lock<std::shared_mutex> lock(sync_->map);
     if (shard >= stores_.size())
       return Status::invalid_argument("no shard " + std::to_string(shard));
+    // No plan holds more steps than one per lost unit of a layout
+    // iteration, so clamping there keeps the estimate below from
+    // wrapping for "everything" requests (~0ull).  Both factors are
+    // immutable: no store lock is needed.
+    const api::Array& array = stores_[shard]->array();
+    max_steps = std::min<std::uint64_t>(
+        max_steps, static_cast<std::uint64_t>(array.num_stripes()) *
+                       array.num_parity_units());
     // One repaired stripe rewrites ~one unit per layout iteration; the
     // reservation is an upper-bound estimate in rebuilt bytes and the
     // unused remainder is refunded after the pass.

@@ -42,8 +42,8 @@
 ///
 /// attach_shard registers a new (empty) shard; start_migration plans a
 /// contiguous block range onto it; migrate_some copies the range in
-/// chunks under the same shared-stage / exclusive-commit discipline as
-/// StripeStore's online rebuild: staging copies run under the SHARED
+/// chunks under a shared-stage / exclusive-commit discipline of its
+/// own: staging copies run under the SHARED
 /// fleet lock (foreground reads and writes keep flowing, reads always
 /// served from the authoritative source side), a per-chunk dirty flag
 /// catches writes that land mid-copy (the chunk is simply re-copied),

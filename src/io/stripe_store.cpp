@@ -761,9 +761,6 @@ Status StripeStore::write(std::uint64_t logical,
   if (cache_ && cache_->any_dirty() && cache_->flush_due())
     (void)flush_dirty_shared();
   std::unique_lock stripe(shard_for(logical));
-  // Any landed bytes invalidate concurrently staged rebuild reads; a
-  // spurious bump (e.g. a write that then fails) only costs a retry.
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
 
   for (int attempt = 0;; ++attempt) {
     Status wrote = write_locked(logical, data, receipt);
@@ -1164,8 +1161,6 @@ Status StripeStore::fold_instance_locked(std::uint64_t instance) {
   for (std::uint32_t j = 0; j < np; ++j)
     core::xor_into(slice(j), entry->delta[j]);
 
-  // The folded bytes are landed state: staged rebuild chunks replan.
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
   // ONE commit: every dirty data unit, every folded parity, and their
   // checksums.  A crash mid-fold replays the whole record -- the
   // consistent post-image -- on reopen.  A rolled-back fold KEEPS the
@@ -1253,7 +1248,6 @@ Status StripeStore::fold_reencode_locked(
   for (std::uint32_t j = 0; j < m; ++j) parity_out[j] = slice(present + j);
   codec.encode({data_spans.data(), kd}, {parity_out.data(), m});
 
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
   const std::size_t nd = overlay.size();
   std::vector<IoRequest> stores(nd + np);
   for (std::size_t i = 0; i < nd; ++i)
@@ -1343,7 +1337,6 @@ Status StripeStore::fail_disk(DiskId disk) {
   // caller retries after the underlying fault clears.
   if (Status flushed = flush_dirty_exclusive(); !flushed.ok())
     return flushed;
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
   if (Status failed = array_.fail_disk(disk); !failed.ok()) return failed;
   if (Status discarded = backend_->discard(disk, kPoison); !discarded.ok())
     return discarded;
@@ -1352,7 +1345,6 @@ Status StripeStore::fail_disk(DiskId disk) {
 
 Status StripeStore::replace_disk(DiskId disk) {
   std::unique_lock lock(sync_->state);
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
   if (Status replaced = array_.replace_disk(disk); !replaced.ok())
     return replaced;
   if (Status discarded = backend_->discard(disk, 0); !discarded.ok())
@@ -1371,19 +1363,7 @@ Status StripeStore::reset_disk_crcs(DiskId disk) {
   return backend_->write(disk, crc_base_, zeros);
 }
 
-Status StripeStore::apply_step_bytes(const api::RebuildStep& step) {
-  // Stage then commit, back to back: the caller holds the exclusive
-  // lock.  The buffers are reused across the steps of a rebuild.
-  thread_local std::vector<std::uint8_t> rebuilt;
-  thread_local std::vector<IoRequest> writes;
-  if (Status staged = stage_step(step, rebuilt, writes); !staged.ok())
-    return staged;
-  return commit_step(step, writes);
-}
-
-Status StripeStore::stage_step(const api::RebuildStep& step,
-                               std::vector<std::uint8_t>& rebuilt,
-                               std::vector<IoRequest>& writes) {
+Status StripeStore::apply_step(const api::RebuildStep& step) {
   // A step that decodes DATA through parity must refuse torn instances:
   // their parity no longer encodes the on-disk data, so the decode would
   // materialize garbage as if it were the lost unit.  (A step that only
@@ -1399,11 +1379,9 @@ Status StripeStore::stage_step(const api::RebuildStep& step,
 
   // The step's ENTIRE survivor fan-in -- every survivor of every
   // iteration (the step reports iteration-0 offsets) -- is ONE
-  // kRebuild-tagged gather (so a rebuild-deprioritizing scheduler can
-  // hold it behind foreground I/O; aliased when the backend allows),
-  // then one decode pass per iteration leaves the rebuilt units in
-  // `rebuilt`, which the caller keeps alive through the commit (several
-  // steps may be staged before any of them commits).
+  // kRebuild-tagged gather (aliased when the backend allows), then one
+  // decode pass per iteration into per-thread buffers reused across the
+  // steps of a rebuild.
   const std::uint32_t n = static_cast<std::uint32_t>(step.reads.size());
   const std::size_t total = static_cast<std::size_t>(n) * iterations_;
   std::vector<Physical> sources(total);
@@ -1421,14 +1399,16 @@ Status StripeStore::stage_step(const api::RebuildStep& step,
     return in_context(std::move(got),
                       "rebuild of stripe " + std::to_string(step.stripe));
 
-  rebuilt.resize(static_cast<std::size_t>(iterations_) * unit_bytes_);
+  const auto rebuilt =
+      scratch(0, static_cast<std::size_t>(iterations_) * unit_bytes_);
+  thread_local std::vector<IoRequest> writes;
   writes.clear();
   const std::span<const std::uint32_t> erased{step.erased_index.data(),
                                               step.num_erased};
   for (std::uint32_t it = 0; it < iterations_; ++it) {
     const std::uint64_t lift =
         static_cast<std::uint64_t>(it) * array_.units_per_disk();
-    const auto target = std::span<std::uint8_t>(rebuilt).subspan(
+    const auto target = rebuilt.subspan(
         static_cast<std::size_t>(it) * unit_bytes_, unit_bytes_);
     decode_unit(array_.codec(), step.num_data,
                 {srcs.data() + static_cast<std::size_t>(it) * n, n},
@@ -1437,36 +1417,12 @@ Status StripeStore::stage_step(const api::RebuildStep& step,
                                          byte_offset(step.target.offset + lift),
                                          target));
   }
-  return OkStatus();
-}
 
-Status StripeStore::commit_step(const api::RebuildStep& step,
-                                std::span<IoRequest> writes) {
   // Rebuilt targets land with fresh checksums.  (Not journaled: a crash
   // here leaves at most the target units checksum-stale, which the
   // reopen-time heal reconstructs -- rebuild is re-runnable anyway.)
   if (Status stored = scatter(writes, false); !stored.ok()) return stored;
-  // The landed target bytes are survivor bytes from any OTHER
-  // rebuilder's perspective: bump the epoch so a concurrently staged
-  // chunk replans instead of committing stale reads.  (Before this
-  // bump, a second rebuilder's staleness was only caught by
-  // apply_rebuild_step's kFailedPrecondition -- a hard error rather
-  // than a retry.)  The caller holds the exclusive state lock, and
-  // every epoch access happens under the state mutex, so relaxed
-  // ordering suffices.
-  sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
   return array_.apply_rebuild_step(step);
-}
-
-Status StripeStore::apply_step_healing(const api::RebuildStep& step) {
-  Status done = apply_step_bytes(step);
-  if (done.code() != StatusCode::kChecksumMismatch) return done;
-  // A survivor failed verification: heal every iteration instance of
-  // the stripe (the exclusive state lock excludes all other traffic),
-  // then retry the step once.  Unhealable rot surfaces the mismatch.
-  for (std::uint32_t it = 0; it < iterations_; ++it)
-    (void)heal_instance_locked(step.stripe, it, nullptr);
-  return apply_step_bytes(step);
 }
 
 Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
@@ -1474,159 +1430,31 @@ Result<std::uint64_t> StripeStore::rebuild_some(std::uint64_t max_steps,
   std::uint64_t applied = 0;
   if (blocked) *blocked = 0;
   for (;;) {
-    // Plan one batch under the exclusive lock.  The whole batch is
-    // applied before re-planning -- the same plan-once-apply-all
-    // discipline as api::Array::rebuild, so the store's target choices
-    // (spare vs replacement slot) match a bare array's step for step.
-    std::vector<api::RebuildStep> steps;
-    std::uint64_t epoch = 0;
-    {
-      std::unique_lock lock(sync_->state);
-      auto plan = array_.plan_rebuild();
-      if (!plan.ok()) return plan.status();
-      if (blocked) *blocked = plan->blocked;
-      if (plan->steps.empty() || applied >= max_steps) return applied;
-      if (!views_.empty()) {
-        // Reads alias the disk images: staging is pure memory bandwidth
-        // with no disk queue to compete in, so every step stages and
-        // commits right here, inside this one exclusive hold.
-        for (const api::RebuildStep& step : plan->steps) {
-          if (applied >= max_steps) break;
-          if (Status done = apply_step_healing(step); !done.ok()) return done;
-          ++applied;
-        }
-        continue;
+    // Plan one batch and apply it inside ONE exclusive hold, so no
+    // write, fail or replace can land between the plan and its steps.
+    // The whole batch is applied before re-planning -- the same
+    // plan-once-apply-all discipline as api::Array::rebuild, so the
+    // store's target choices (spare vs replacement slot) match a bare
+    // array's step for step.  The lock is released between batches.
+    std::unique_lock lock(sync_->state);
+    auto plan = array_.plan_rebuild();
+    if (!plan.ok()) return plan.status();
+    if (blocked) *blocked = plan->blocked;
+    if (plan->steps.empty() || applied >= max_steps) return applied;
+    for (const api::RebuildStep& step : plan->steps) {
+      if (applied >= max_steps) break;
+      Status done = apply_step(step);
+      if (done.code() == StatusCode::kChecksumMismatch) {
+        // A survivor failed verification: heal every iteration instance
+        // of the stripe (the exclusive lock excludes all other traffic),
+        // then retry the step once.  Unhealable rot surfaces the
+        // mismatch.
+        for (std::uint32_t it = 0; it < iterations_; ++it)
+          (void)heal_instance_locked(step.stripe, it, nullptr);
+        done = apply_step(step);
       }
-      steps = std::move(plan->steps);
-      epoch = sync_->write_epoch.load(std::memory_order_relaxed);
-    }
-
-    std::size_t next = 0;
-    bool replan = false;
-    while (next < steps.size() && !replan) {
-      if (applied >= max_steps) return applied;
-      // Chunk bounds: kMaxStageChunk keeps the exclusive commit hold
-      // short, and kMaxStageShards keeps the number of simultaneously
-      // held locks small (ThreadSanitizer's deadlock detector aborts a
-      // thread holding 64+).
-      constexpr std::size_t kMaxStageChunk = 8;
-      constexpr std::size_t kMaxStageShards = 16;
-      const std::size_t chunk = static_cast<std::size_t>(std::min<std::uint64_t>(
-          {steps.size() - next, max_steps - applied, kMaxStageChunk}));
-
-      // The chunk's stripe shard locks -- shared, one per iteration
-      // instance, sorted like read_batch's -- exclude byte-level
-      // overlap with foreground writes to the staged stripes without
-      // stalling foreground reads; writes elsewhere proceed and are
-      // caught by the epoch check below.
-      std::vector<std::shared_mutex*> shards;
-      shards.reserve(chunk * iterations_);
-      for (std::size_t j = 0; j < chunk; ++j)
-        for (std::uint32_t it = 0; it < iterations_; ++it) {
-          const std::uint64_t instance =
-              steps[next + j].stripe +
-              static_cast<std::uint64_t>(it) * array_.num_stripes();
-          shards.push_back(&sync_->shards[instance % sync_->shards.size()]);
-        }
-      std::sort(shards.begin(), shards.end());
-      shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
-      if (shards.size() > kMaxStageShards) {
-        // Degenerate geometry (huge iteration counts sweep most of the
-        // shard pool): apply the chunk under the exclusive lock rather
-        // than hold half the pool across a scheduler-delayed wave.
-        std::unique_lock lock(sync_->state);
-        if (sync_->write_epoch.load(std::memory_order_relaxed) != epoch) {
-          Status done = apply_step_healing(steps[next]);
-          if (done.ok())
-            ++applied;
-          else if (done.code() != StatusCode::kFailedPrecondition)
-            return done;
-          replan = true;
-          break;
-        }
-        for (std::size_t j = 0; j < chunk; ++j) {
-          if (Status done = apply_step_healing(steps[next + j]); !done.ok())
-            return done;
-          ++applied;
-        }
-        // Our own commits bumped the epoch; re-snapshot under the still-
-        // held exclusive lock so the NEXT chunk is not spuriously
-        // replanned.  Sound: staged reads never include lost targets,
-        // so this thread's commits cannot invalidate its later chunks.
-        epoch = sync_->write_epoch.load(std::memory_order_relaxed);
-        next += chunk;
-        continue;
-      }
-
-      // Stage the chunk under ONE SHARED lock hold: foreground reads
-      // and writes keep submitting, so rebuild reads genuinely compete
-      // in the disk queues, and the store pays one state-lock
-      // round-trip per chunk instead of per step.
-      std::vector<std::vector<std::uint8_t>> slabs(chunk);
-      std::vector<std::vector<IoRequest>> writes(chunk);
-      Status staging_rot;
-      std::size_t rot_step = 0;
-      {
-        std::shared_lock lock(sync_->state);
-        std::vector<std::shared_lock<std::shared_mutex>> held;
-        held.reserve(shards.size());
-        for (std::shared_mutex* shard : shards) held.emplace_back(*shard);
-        for (std::size_t j = 0; j < chunk; ++j)
-          if (Status staged = stage_step(steps[next + j], slabs[j], writes[j]);
-              !staged.ok()) {
-            if (staged.code() != StatusCode::kChecksumMismatch) return staged;
-            staging_rot = std::move(staged);
-            rot_step = j;
-            break;
-          }
-      }
-      if (!staging_rot.ok()) {
-        // A staged survivor failed verification: heal the step's
-        // instances under the exclusive lock (the heal's writes bump
-        // the epoch, invalidating any other rebuilder's staged bytes)
-        // and re-plan.  Unhealable rot surfaces on the retried stage.
-        std::unique_lock lock(sync_->state);
-        Status healed;
-        for (std::uint32_t it = 0; it < iterations_; ++it) {
-          Status one =
-              heal_instance_locked(steps[next + rot_step].stripe, it, nullptr);
-          if (!one.ok() && healed.ok()) healed = one;
-        }
-        if (!healed.ok()) return staging_rot;  // unhealable (or torn): stop
-        replan = true;
-        break;
-      }
-
-      // Commit the chunk under ONE exclusive lock hold.  An unchanged
-      // epoch proves no write / fail / replace landed since the plan,
-      // so the staged bytes are current and every step is exactly as
-      // valid as when planned.  Otherwise restage one step under the
-      // exclusive lock (writers are excluded now -- progress is
-      // guaranteed) and re-plan: the interloper may have been a
-      // fail/replace that reshaped the plan, which
-      // apply_rebuild_step's own staleness checks surface as
-      // kFailedPrecondition.
-      std::unique_lock lock(sync_->state);
-      if (sync_->write_epoch.load(std::memory_order_relaxed) != epoch) {
-        Status done = apply_step_healing(steps[next]);
-        if (done.ok())
-          ++applied;
-        else if (done.code() != StatusCode::kFailedPrecondition)
-          return done;
-        replan = true;
-        break;
-      }
-      for (std::size_t j = 0; j < chunk; ++j) {
-        if (Status done = commit_step(steps[next + j], writes[j]); !done.ok())
-          return done;
-        ++applied;
-      }
-      // Re-snapshot: the commits above bumped the epoch (see
-      // commit_step), and this thread's own commits never invalidate
-      // its later staged chunks (staged reads exclude every lost
-      // target), so the next chunk must not replan on our account.
-      epoch = sync_->write_epoch.load(std::memory_order_relaxed);
-      next += chunk;
+      if (!done.ok()) return done;
+      ++applied;
     }
   }
 }
@@ -1810,9 +1638,6 @@ Status StripeStore::heal_instance_locked(std::uint32_t stripe,
     codec.reconstruct(kd, {survivors.data(), ns}, {survivor_idx.data(), ns},
                       {erased_idx.data(), num_erased},
                       {outs.data(), num_erased});
-    // The healed bytes are landed state: bump the epoch so any
-    // concurrently staged rebuild chunk replans over them.
-    sync_->write_epoch.fetch_add(1, std::memory_order_relaxed);
     if (Status stored = scatter({stores.data(), num_stores}, true);
         !stored.ok())
       return stored;

@@ -65,26 +65,19 @@
 /// shared; fail/replace take it exclusive), and a fixed pool of
 /// stripe-instance rw-locks -- sharded by (stripe, iteration) -- keeps
 /// parity updates atomic with their data writes: writers hold a stripe's
-/// shard exclusively, while readers (and rebuild staging, which only
-/// reads survivors) hold it shared, so reads of the same stripe proceed
-/// in parallel and only writer/reader pairs exclude each other.  Lock
-/// order is always state-then-shard; shard locks are only ever taken
-/// together in one sorted pass (read_batch, rebuild staging), so the
-/// scheme is deadlock-free.  The same sharding is what discharges the
-/// backend's "overlapping writes are externally serialized" demand.
+/// shard exclusively, while readers hold it shared, so reads of the same
+/// stripe proceed in parallel and only writer/reader pairs exclude each
+/// other.  Lock order is always state-then-shard; shard locks are only
+/// ever taken together in one sorted pass (read_batch), so the scheme is
+/// deadlock-free.  The same sharding is what discharges the backend's
+/// "overlapping writes are externally serialized" demand.
 ///
-/// Online rebuild stages each step's survivor fan-in under the
-/// SHARED state lock (plus the step's stripe shard locks, also shared),
-/// so foreground reads and writes keep submitting while rebuild reads
-/// sit in the same disk queues -- this is what makes an IoScheduler's
-/// rebuild policy observable.  The commit (target writes + array state
-/// transition) re-takes the exclusive lock and validates via a global
-/// write-epoch counter that no write / fail / replace landed since the
-/// batch was planned; an invalidated stage is re-run under the
-/// exclusive lock before re-planning, so progress is always guaranteed.
-/// When reads alias (memory_view), there is no disk queue to share:
-/// rebuild_some runs each step's stage and commit -- the same step code
-/// -- inside its one exclusive hold instead.
+/// Online rebuild works in batches, one exclusive state-lock hold each:
+/// rebuild_some plans, then for every step gathers the survivors, decodes
+/// the lost units, writes them and advances the array's rebuild state,
+/// all before it releases the lock.  A plan never outlives the hold it
+/// was made in, so no foreground write, fail or replace can invalidate
+/// it, and foreground I/O waits at most one batch.
 ///
 /// Address space: logical units 0 .. num_logical_units()-1, each
 /// unit_bytes() wide; the layout tiles vertically `iterations` times, so
@@ -302,14 +295,9 @@ class StripeStore {
   /// advances the array's rebuild state.  Returns the number of stripes
   /// repaired; 0 means nothing is currently rebuildable (`blocked`, when
   /// given, receives the count still waiting on replace_disk).  Each
-  /// step's survivor fan-in runs under the SHARED state lock --
-  /// foreground reads and writes proceed concurrently with rebuild I/O,
-  /// competing in the backend's disk queues -- and only the short commit
-  /// (target writes + state transition) excludes them; see the file
-  /// comment for the validation protocol.  When reads alias the disk
-  /// images (the backend exposes memory_view) stage and commit both run
-  /// inside one exclusive hold.  Drive it from a rebuilder thread for
-  /// online rebuild.
+  /// batch is planned and applied inside one exclusive state-lock hold,
+  /// so max_steps bounds how long foreground I/O waits.  Drive it from a
+  /// rebuilder thread for online rebuild.
   [[nodiscard]] Result<std::uint64_t> rebuild_some(
       std::uint64_t max_steps, std::uint64_t* blocked = nullptr);
 
@@ -485,15 +473,15 @@ class StripeStore {
                                        std::span<Status> statuses,
                                        std::span<ReadReceipt> receipts);
   /// write()'s plan-and-dispatch body; caller holds the state lock
-  /// (shared) and the logical's shard lock (exclusive) and has bumped
-  /// the epoch.  kChecksumMismatch when a unit loaded for parity
-  /// maintenance fails verification -- write() heals and retries.
+  /// (shared) and the logical's shard lock (exclusive).  kChecksumMismatch
+  /// when a unit loaded for parity maintenance fails verification --
+  /// write() heals and retries.
   [[nodiscard]] Status write_locked(std::uint64_t logical,
                                     std::span<const std::uint8_t> data,
                                     WriteReceipt* receipt);
   /// RMW under any codec: folds the data delta into every surviving
-  /// parity in place and commits data plus parities; caller holds the
-  /// locks and has bumped the epoch.
+  /// parity in place and commits data plus parities; caller holds
+  /// write_locked's locks.
   [[nodiscard]] Status write_rmw(const api::WritePlan& plan,
                                  std::span<const std::uint8_t> data,
                                  std::uint64_t instance,
@@ -506,23 +494,13 @@ class StripeStore {
       std::span<const std::uint32_t> peer_index,
       std::span<const std::uint8_t> data, std::uint64_t instance,
       WriteReceipt* receipt);
-  /// One rebuild step, bytes first (all iterations), then array state:
-  /// stage_step and commit_step back to back under the caller's
-  /// exclusive lock.
-  [[nodiscard]] Status apply_step_bytes(const api::RebuildStep& step);
-  /// Step staging: survivor fan-in (one kRebuild-tagged gather) plus the
-  /// decodes, leaving the rebuilt units in `rebuilt` (resized as needed;
-  /// must stay alive through the commit) and the target-write requests
-  /// in `writes`.  Caller holds the state lock (shared or exclusive)
-  /// and, when shared, the step's stripe shard locks.
-  [[nodiscard]] Status stage_step(const api::RebuildStep& step,
-                                  std::vector<std::uint8_t>& rebuilt,
-                                  std::vector<IoRequest>& writes);
-  /// Step commit: scatters the staged target writes and advances the
-  /// array's rebuild state.  Caller holds the exclusive state lock and
-  /// has validated the step (or never released the lock).
-  [[nodiscard]] Status commit_step(const api::RebuildStep& step,
-                                   std::span<IoRequest> writes);
+  /// One rebuild step, every iteration: the survivor fan-in (one
+  /// kRebuild-tagged gather), the decodes, the target writes (one
+  /// scatter), then the array's state transition.  kParityInconsistent
+  /// when the step would decode data through a torn instance,
+  /// kChecksumMismatch when a survivor fails verification.  Caller
+  /// holds the exclusive state lock.
+  [[nodiscard]] Status apply_step(const api::RebuildStep& step);
   /// checksum_disk's body; caller holds the exclusive state lock.
   [[nodiscard]] Result<std::uint64_t> checksum_disk_locked(DiskId disk) const;
 
@@ -557,9 +535,6 @@ class StripeStore {
   [[nodiscard]] Status heal_instance_locked(std::uint32_t stripe,
                                             std::uint32_t iteration,
                                             ScrubReport* report);
-  /// apply_step_bytes with one heal-and-retry round on detected rot;
-  /// caller holds the exclusive state lock.
-  [[nodiscard]] Status apply_step_healing(const api::RebuildStep& step);
   /// Zeroes a discarded disk's checksum cache and media region
   /// ("unverified"); caller holds the exclusive state lock.
   [[nodiscard]] Status reset_disk_crcs(DiskId disk);
@@ -602,8 +577,8 @@ class StripeStore {
       std::uint64_t instance, std::span<const StripeCache::DirtyUnit> overlay,
       WriteReceipt* receipt);
   /// fold_instance_locked with one heal-and-retry round on a rotten
-  /// pre-image (the flush loops' common body, like apply_step_healing
-  /// for rebuild).  Caller holds the instance exclusively.
+  /// pre-image (the flush loops' common body).  Caller holds the
+  /// instance exclusively.
   [[nodiscard]] Status fold_healing_locked(std::uint64_t instance);
   /// Folds every dirty instance, taking each instance's shard lock
   /// exclusively in turn; caller holds the state lock shared.
@@ -617,8 +592,8 @@ class StripeStore {
   std::unique_ptr<DiskBackend> backend_;
   /// The backend's memory views, one per disk, covering the FULL media
   /// (data region plus, under integrity, the checksum region); empty
-  /// when the backend does not expose them.  Read only by gather() (to
-  /// alias) and rebuild_some (to pick its lock scope).
+  /// when the backend does not expose them.  Read only by gather(), to
+  /// alias.
   std::vector<std::span<std::uint8_t>> views_;
   /// Whether the per-unit checksum layer is active (array integrity).
   bool integrity_ = false;
@@ -638,21 +613,9 @@ class StripeStore {
   /// Heap-allocated so the store stays movable (Result<StripeStore>).
   struct Sync {
     std::shared_mutex state;
-    /// Stripe-instance rw-locks: writers exclusive, readers/staging
-    /// shared (see the file comment's concurrency story).
+    /// Stripe-instance rw-locks: writers exclusive, readers shared (see
+    /// the file comment's concurrency story).
     std::vector<std::shared_mutex> shards;
-    /// Bumped by every byte-mutating operation -- write, fail, replace,
-    /// AND every rebuild commit (commit_step) -- so one rebuilder's committed step invalidates another
-    /// rebuilder's concurrently staged chunk instead of surfacing as a
-    /// spurious hard kFailedPrecondition at its commit.  Rebuild staging
-    /// snapshots the epoch under the exclusive lock and re-checks at
-    /// commit: an unchanged epoch proves the staged survivor bytes are
-    /// still current.  Relaxed ordering suffices: every load and store
-    /// of the epoch happens with the state mutex held (shared or
-    /// exclusive), so the mutex provides the happens-before edges and
-    /// the counter only needs atomicity against torn increments from
-    /// concurrent shared-lock holders.
-    std::atomic<std::uint64_t> write_epoch{0};
     /// Torn-parity tracking (see the file comment): instances whose
     /// parity no longer matches their data after a double substrate
     /// fault.  torn_count is a relaxed fast-path gate so the happy path

@@ -176,10 +176,10 @@ TEST(DatapathConcurrent, DoubleFailureRebuildUnderFireReedSolomon) {
   // lose up to two units -- still within P+Q tolerance, so every read
   // and write must keep succeeding (double-degraded decodes, multi-
   // parity RMWs, and reconstruct-writes all race the rebuild here).
-  // The staged-shard/exclusive-commit rebuild interleaves with the
-  // writers, pinning the write-epoch invalidation protocol under TSan:
-  // a writer's RMW that lands between stage and commit must bump the
-  // epoch and force a re-stage, never a stale-parity commit.
+  // Rebuild batches (each planned and applied inside one exclusive
+  // hold) interleave with the writers, pinning under TSan that no
+  // writer's RMW lands between a batch's plan and its target writes, so
+  // a rebuilt unit never decodes from stale parity.
   auto store = make_store(api::SparingMode::kDistributed,
                           core::CodecKind::kReedSolomonPQ);
   ASSERT_TRUE(store.ok()) << store.status().to_string();

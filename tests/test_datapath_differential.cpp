@@ -20,11 +20,14 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/array.hpp"
@@ -478,14 +481,34 @@ TEST(DatapathDifferential, RotDetectHealMatrixOverFileBackend) {
 // ------------------------------------------------- memory-view aliasing
 
 /// A MemoryBackend behind a decorator that counts every unit read and
-/// write reaching the substrate.  `forward_view` decides whether the
-/// decorator passes memory_view through, so one store code path can be
-/// driven with reads aliasing the images or streaming through the
-/// backend.
+/// write reaching the substrate, and every batched request per (disk,
+/// IoClass).  `forward_view` decides whether the decorator passes
+/// memory_view through, so one store code path can be driven with reads
+/// aliasing the images or streaming through the backend.
 class CountingBackend final : public DiskBackend {
  public:
+  using ClassCounts =
+      std::array<std::array<std::atomic<std::uint64_t>, 4>, kV>;
+
   explicit CountingBackend(bool forward_view)
       : inner_(make_memory_backend()), forward_view_(forward_view) {}
+
+  /// Counts each request, runs `before_rebuild_read` (when set) ahead
+  /// of a batch holding rebuild reads, then runs the batch through
+  /// read()/write() (the base class's sequential reference), so the
+  /// unit counters above see batched traffic too.
+  Status execute_batch(std::span<IoRequest> batch) override {
+    bool rebuild_read = false;
+    for (const IoRequest& request : batch) {
+      const bool read = request.op == IoRequest::Op::kRead;
+      rebuild_read |= read && request.io_class == IoClass::kRebuild;
+      ClassCounts& counts = read ? batch_reads : batch_writes;
+      counts[request.disk][static_cast<std::size_t>(request.io_class)]
+          .fetch_add(1, std::memory_order_relaxed);
+    }
+    if (rebuild_read && before_rebuild_read) before_rebuild_read();
+    return DiskBackend::execute_batch(batch);
+  }
 
   Status open(const BackendGeometry& geometry) override {
     return inner_->open(geometry);
@@ -512,6 +535,9 @@ class CountingBackend final : public DiskBackend {
 
   std::atomic<std::uint64_t> reads{0};
   std::atomic<std::uint64_t> writes{0};
+  ClassCounts batch_reads{};
+  ClassCounts batch_writes{};
+  std::function<void()> before_rebuild_read;
 
  private:
   std::unique_ptr<DiskBackend> inner_;
@@ -707,6 +733,103 @@ TEST(DatapathDifferential, AliasedAndStreamedStoresAgree) {
       EXPECT_GT(aliased.rebuilt, 0u) << context;
       EXPECT_EQ(aliased.bytes, streamed.bytes) << context;
       expect_same_receipts(aliased, streamed, context);
+    }
+  }
+}
+
+// The paper's distributed-reconstruction property on the real data
+// path: while a writer thread keeps landing foreground writes, rebuilding
+// one failed and replaced disk through rebuild_some(4) reads exactly the
+// planned survivor units from every disk and writes exactly the planned
+// target units -- once each, every iteration, with no survivor read
+// twice.  Reads stream through execute_batch (memory_view hidden) so
+// every one is counted, and each rebuild read gives the writer up to a
+// millisecond to land a write first, so any write the store lets in
+// between a plan and its step is sure to happen.
+TEST(DatapathDifferential, RebuildUnderWritesReadsEachPlannedSurvivorOnce) {
+  constexpr layout::DiskId kFailed = 3;
+  constexpr auto kRebuild = static_cast<std::size_t>(IoClass::kRebuild);
+  for (const core::CodecKind codec :
+       {core::CodecKind::kXorParity, core::CodecKind::kReedSolomonPQ}) {
+    const std::string context(core::codec_kind_name(codec));
+    CountedStore s = make_counted_store(codec, /*forward_view=*/false,
+                                        /*integrity=*/false, /*cache=*/false);
+    ASSERT_TRUE(s.store) << context;
+    StripeStore& store = *s.store;
+    const std::uint64_t n = store.num_logical_units();
+    ASSERT_TRUE(fill_canonical(store, 0, n, kSeed).ok()) << context;
+    ASSERT_TRUE(store.fail_disk(kFailed).ok()) << context;
+    ASSERT_TRUE(store.replace_disk(kFailed).ok()) << context;
+    const auto plan = store.array().plan_rebuild();
+    ASSERT_TRUE(plan.ok()) << context;
+    ASSERT_FALSE(plan->steps.empty()) << context;
+
+    std::array<std::array<std::uint64_t, 2>, kV> before{};
+    for (layout::DiskId d = 0; d < kV; ++d)
+      before[d] = {s.counts->batch_reads[d][kRebuild].load(),
+                   s.counts->batch_writes[d][kRebuild].load()};
+
+    // The writer owns every logical unit it rewrites (with the kSeed + 1
+    // content) and runs until the rebuild loop is done.
+    std::atomic<bool> stop{false};
+    std::atomic<bool> failed{false};
+    std::atomic<std::uint64_t> landed{0};
+    std::vector<char> rewritten(n, 0);
+    std::thread writer([&] {
+      std::vector<std::uint8_t> unit(store.unit_bytes());
+      for (std::uint64_t i = 0; !stop.load(); ++i) {
+        const std::uint64_t logical = (i * 7) % n;
+        canonical_fill(logical, kSeed + 1, unit);
+        if (!store.write(logical, unit).ok()) {
+          failed.store(true);
+          return;
+        }
+        rewritten[logical] = 1;
+        landed.fetch_add(1);
+      }
+    });
+    while (landed.load() == 0 && !failed.load()) std::this_thread::yield();
+    s.counts->before_rebuild_read = [&] {
+      const std::uint64_t seen = landed.load();
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
+      while (landed.load() == seen && !failed.load() &&
+             std::chrono::steady_clock::now() < until)
+        std::this_thread::yield();
+    };
+    std::uint64_t applied = 0;
+    for (;;) {
+      const auto some = store.rebuild_some(4);
+      if (!some.ok() || *some == 0) {
+        EXPECT_TRUE(some.ok()) << context << " " << some.status().to_string();
+        break;
+      }
+      applied += *some;
+    }
+    stop.store(true);
+    writer.join();
+    s.counts->before_rebuild_read = nullptr;
+    EXPECT_FALSE(failed.load()) << context;
+    EXPECT_GT(landed.load(), 0u) << context;
+    EXPECT_EQ(applied, plan->steps.size()) << context;
+    EXPECT_TRUE(store.array().healthy()) << context;
+
+    for (layout::DiskId d = 0; d < kV; ++d) {
+      EXPECT_EQ(s.counts->batch_reads[d][kRebuild].load() - before[d][0],
+                std::uint64_t{plan->reads_per_disk[d]} * kIterations)
+          << context << " disk " << d;
+      EXPECT_EQ(s.counts->batch_writes[d][kRebuild].load() - before[d][1],
+                std::uint64_t{plan->writes_per_disk[d]} * kIterations)
+          << context << " disk " << d;
+    }
+
+    std::vector<std::uint8_t> unit(store.unit_bytes());
+    std::vector<std::uint8_t> expected(store.unit_bytes());
+    for (std::uint64_t logical = 0; logical < n; ++logical) {
+      ASSERT_TRUE(store.read(logical, unit).ok()) << context;
+      canonical_fill(logical, rewritten[logical] ? kSeed + 1 : kSeed,
+                     expected);
+      ASSERT_EQ(unit, expected) << context << " logical " << logical;
     }
   }
 }

@@ -278,6 +278,33 @@ TEST(Fleet, GovernedRebuildRestoresBytesAndChargesTheGovernor) {
   EXPECT_EQ(fleet.governor().shard_stats(2).granted_bytes, 0u);
 }
 
+// rebuild_some(shard, ~0ull) -- the "everything" request -- reserves at
+// most one step per lost unit of a layout iteration (stripes x parity
+// units) for every iteration, not an estimate wrapped past 2^64, and
+// still completes under a finite governor rate.
+TEST(Fleet, UnboundedRebuildSomeReservesAClampedEstimate) {
+  FleetOptions options{.block_bytes = kBlockBytes};
+  options.governor.rebuild_bytes_per_sec = 64.0 * 1024 * 1024;
+  Fleet fleet = make_fleet(options);
+  ASSERT_TRUE(fill_canonical(fleet, 0, fleet.num_blocks(), kSeed).ok());
+  ASSERT_TRUE(fleet.fail_disk(0, 3).ok());
+  ASSERT_TRUE(fleet.replace_disk(0, 3).ok());
+
+  auto repaired = fleet.rebuild_some(0, ~0ull);
+  ASSERT_TRUE(repaired.ok()) << repaired.status().to_string();
+  EXPECT_GT(repaired.value(), 0u);
+  EXPECT_TRUE(fleet.healthy());
+
+  const io::StripeStore& store = fleet.shard(0);
+  const std::uint64_t bound = std::uint64_t{store.array().num_stripes()} *
+                              store.array().num_parity_units();
+  const GovernorStats charged = fleet.governor().shard_stats(0);
+  EXPECT_EQ(charged.grants, 1u);
+  EXPECT_GT(charged.granted_bytes, 0u);
+  EXPECT_LE(charged.granted_bytes,
+            bound * store.iterations() * fleet.block_bytes());
+}
+
 TEST(Fleet, RebuildSomeValidatesShard) {
   Fleet fleet = make_fleet();
   EXPECT_EQ(fleet.rebuild_some(99, 1).status().code(),
